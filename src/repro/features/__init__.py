@@ -13,7 +13,7 @@ from .similarity import (
     abs_diff,
     rel_diff,
 )
-from .batch import cache_stats, reset_cache_stats
+from .batch import cache_stats, reset_cache_stats, reset_word_pair_table
 from .tokenize import normalize, qgrams, word_tokens
 from .library import Feature, FeatureLibrary, build_feature_library
 from .vectorize import vectorize_pairs
@@ -21,6 +21,7 @@ from .vectorize import vectorize_pairs
 __all__ = [
     "cache_stats",
     "reset_cache_stats",
+    "reset_word_pair_table",
     "jaccard",
     "jaro",
     "jaro_winkler",

@@ -19,7 +19,8 @@ is the batch-first substrate underneath
   evaluates whole pair-columns at once — pure numpy for numeric measures
   and the DP string measures (Levenshtein, Jaro-Winkler, Smith-Waterman),
   set arithmetic over precomputed token sets for the Jaccard family, and
-  an interned word-pair matrix for Monge-Elkan.
+  shape-bucketed word-id matrices over a sorted word-pair Jaro-Winkler
+  table for Monge-Elkan.
 
 Every kernel returns exactly the values the scalar ``Feature.value``
 path produces — the scalar loop remains both the fallback (for features
@@ -81,7 +82,11 @@ def cache_stats() -> dict[str, int]:
 
 
 def reset_cache_stats() -> None:
-    """Zero the cache-miss counters (benchmark harness hook)."""
+    """Zero the cache-miss counters (benchmark harness hook).
+
+    Caches themselves stay warm; :func:`reset_word_pair_table` empties
+    the Monge-Elkan word-pair table.
+    """
     _CACHE_MISSES.clear()
 
 
@@ -91,10 +96,6 @@ def reset_cache_stats() -> None:
 
 _WORD_IDS: dict[str, int] = {}
 _WORDS: list[str] = []
-
-_JW_BY_KEY: dict[int, float] = {}
-"""(id_a << 32 | id_b) -> word-level Jaro-Winkler.  Bounded by the square
-of the co-occurring vocabulary, which real tables keep modest."""
 
 
 def _intern_word(word: str) -> int:
@@ -531,93 +532,152 @@ def _make_cosine_tfidf(idf: Mapping[str, float]) -> BatchKernel:
 
 
 # ----------------------------------------------------------------------
-# Monge-Elkan over interned word-id matrices
+# Monge-Elkan over shape-bucketed word-id matrices
 # ----------------------------------------------------------------------
 
-_MONGE_BLOCK_ELEMENTS = 1 << 22
-"""Cap on elements of the (rows, words_a, words_b) value tensor per
-block, bounding peak memory to ~32 MB regardless of chunk size."""
+_MONGE_BLOCK_ELEMENTS = 1 << 20
+"""Cap on word-pair cells (rows x words_a x words_b) scored per block.
+Each cell takes four 8-byte scratch values (key, sorted key, inverse
+index, score), so a block stays near 32 MB regardless of chunk size."""
 
 
 def _monge_elkan(col_a, records_a, col_b, records_b):
     ids_a = col_a.word_id_arrays(records_a)
     ids_b = col_b.word_id_arrays(records_b)
-    out = np.empty(len(ids_a), dtype=np.float64)
+    n = len(ids_a)
+    size_a = np.fromiter(map(len, ids_a), dtype=np.int64, count=n)
+    size_b = np.fromiter(map(len, ids_b), dtype=np.int64, count=n)
+    # Both sides empty -> 1.0, one side empty -> 0.0; the rest is
+    # overwritten below.
+    out = np.where((size_a == 0) & (size_b == 0), 1.0, 0.0)
+    hard = np.flatnonzero((size_a > 0) & (size_b > 0))
+    if not hard.size:
+        return out
 
-    hard: list[int] = []
-    for i, (wa, wb) in enumerate(zip(ids_a, ids_b)):
-        if not wa.size and not wb.size:
-            out[i] = 1.0
-        elif not wa.size or not wb.size:
-            out[i] = 0.0
-        else:
-            hard.append(i)
+    # Words of every row laid end to end; a row's words start at its
+    # offset, so a bucket gathers its exact (k, wa) matrix in one index.
+    flat_a = np.concatenate(ids_a)
+    flat_b = np.concatenate(ids_b)
+    start_a = np.cumsum(size_a) - size_a
+    start_b = np.cumsum(size_b) - size_b
 
-    start = 0
-    while start < len(hard):
-        # Grow the block until the padded tensor would exceed the cap.
-        width_a = width_b = 0
-        stop = start
-        while stop < len(hard):
-            row = hard[stop]
-            next_a = max(width_a, ids_a[row].size)
-            next_b = max(width_b, ids_b[row].size)
-            if (stop > start
-                    and (stop - start + 1) * next_a * next_b
-                    > _MONGE_BLOCK_ELEMENTS):
-                break
-            width_a, width_b = next_a, next_b
-            stop += 1
-        block = hard[start:stop]
-        _monge_elkan_block(
-            [ids_a[row] for row in block],
-            [ids_b[row] for row in block],
-            width_a, width_b, block, out,
-        )
-        start = stop
+    # Shape buckets: rows sharing (len(words_a), len(words_b)), split so
+    # no piece exceeds the block cap, then packed into blocks.
+    hard = hard[np.lexsort((size_b[hard], size_a[hard]))]
+    shape_a, shape_b = size_a[hard], size_b[hard]
+    edges = np.flatnonzero((np.diff(shape_a) != 0) | (np.diff(shape_b) != 0))
+    block: list[tuple[np.ndarray, int, int]] = []
+    cells = 0
+    for rows in np.split(hard, edges + 1):
+        wa, wb = int(size_a[rows[0]]), int(size_b[rows[0]])
+        step = max(1, _MONGE_BLOCK_ELEMENTS // (wa * wb))
+        for first in range(0, rows.size, step):
+            piece = rows[first:first + step]
+            if block and cells + piece.size * wa * wb > _MONGE_BLOCK_ELEMENTS:
+                _monge_elkan_block(block, flat_a, start_a, flat_b, start_b,
+                                   out)
+                block, cells = [], 0
+            block.append((piece, wa, wb))
+            cells += piece.size * wa * wb
+    _monge_elkan_block(block, flat_a, start_a, flat_b, start_b, out)
     return out
 
 
-def _monge_elkan_block(ids_a, ids_b, width_a, width_b, rows, out) -> None:
-    n = len(ids_a)
-    mat_a = np.full((n, width_a), -1, dtype=np.int64)
-    mat_b = np.full((n, width_b), -1, dtype=np.int64)
-    for i, ids in enumerate(ids_a):
-        mat_a[i, :ids.size] = ids
-    for i, ids in enumerate(ids_b):
-        mat_b[i, :ids.size] = ids
+def _monge_elkan_block(block, flat_a, start_a, flat_b, start_b, out) -> None:
+    """Score one block of shape-bucket pieces ``(rows, wa, wb)`` into out."""
+    keys = []
+    for rows, wa, wb in block:
+        mat_a = flat_a[start_a[rows][:, None] + np.arange(wa)]
+        mat_b = flat_b[start_b[rows][:, None] + np.arange(wb)]
+        keys.append(((mat_a[:, :, None] << 32) | mat_b[:, None, :]).ravel())
+    values = _word_pair_scores(np.concatenate(keys))
 
-    keys = (mat_a[:, :, None] << 32) | mat_b[:, None, :]
-    valid = (mat_a[:, :, None] >= 0) & (mat_b[:, None, :] >= 0)
-    flat = keys[valid]
-    unique = np.unique(flat)
+    offset = 0
+    for rows, wa, wb in block:
+        cells = rows.size * wa * wb
+        grid = values[offset:offset + cells].reshape(rows.size, wa, wb)
+        offset += cells
+        # cumsum adds left to right, exactly like the scalar directed()
+        # loop (numpy's sum would add pairwise), keeping bit parity.
+        total_ab = np.cumsum(grid.max(axis=2), axis=1)[:, -1]
+        total_ba = np.cumsum(grid.max(axis=1), axis=1)[:, -1]
+        out[rows] = (total_ab / wa + total_ba / wb) / 2.0
 
-    cache = _JW_BY_KEY
-    jw = sim._jaro_winkler_words
-    lookup = np.empty(unique.size, dtype=np.float64)
-    for i, key in enumerate(unique.tolist()):
-        value = cache.get(key)
-        if value is None:
-            value = jw(_WORDS[key >> 32], _WORDS[key & 0xFFFFFFFF])
-            cache[key] = value
-        lookup[i] = value
 
-    values = np.full(keys.shape, -np.inf)
-    values[valid] = lookup[np.searchsorted(unique, flat)]
-    best_ab = values.max(axis=2)  # (n, width_a): best partner per a-word
-    best_ba = values.max(axis=1)  # (n, width_b): best partner per b-word
+# ----------------------------------------------------------------------
+# Word-pair Jaro-Winkler table
+# ----------------------------------------------------------------------
 
-    # Means are summed sequentially in token order (plain Python adds,
-    # not numpy's pairwise summation), exactly like the scalar
-    # directed() loop, to keep bit parity.
-    list_ab = best_ab.tolist()
-    list_ba = best_ba.tolist()
-    for i, row in enumerate(rows):
-        size_a = ids_a[i].size
-        size_b = ids_b[i].size
-        total_ab = sum(list_ab[i][:size_a], 0.0)
-        total_ba = sum(list_ba[i][:size_b], 0.0)
-        out[row] = (total_ab / size_a + total_ba / size_b) / 2.0
+def _empty_word_pair_table() -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+
+
+_JW_TABLE = _empty_word_pair_table()
+"""Sorted ``id_a << 32 | id_b`` word-pair keys scored so far and their
+word-level Jaro-Winkler values.  Bounded by the square of the
+co-occurring vocabulary, which real tables keep modest."""
+
+
+def reset_word_pair_table() -> None:
+    """Empty the word-pair Jaro-Winkler table (test hook).
+
+    :func:`reset_cache_stats` leaves the table intact: it zeroes counters
+    only, so a benchmark can reset them without making the next run cold.
+    """
+    global _JW_TABLE
+    _JW_TABLE = _empty_word_pair_table()
+
+
+def _word_pair_scores(keys: np.ndarray) -> np.ndarray:
+    """Word-level Jaro-Winkler of every ``id_a << 32 | id_b`` key.
+
+    Keys missing from the table are scored in one batch and merged in;
+    each miss counts once as a ``jw_word_pairs`` cache miss.
+    """
+    global _JW_TABLE
+    table_keys, table_values = _JW_TABLE
+    unique, inverse = np.unique(keys, return_inverse=True)
+    at = np.searchsorted(table_keys, unique)
+    known = at < table_keys.size
+    known[known] = table_keys[at[known]] == unique[known]
+    scores = np.empty(unique.size, dtype=np.float64)
+    scores[known] = table_values[at[known]]
+    missing = ~known
+    if missing.any():
+        fresh = _score_word_pairs(unique[missing])
+        scores[missing] = fresh
+        _JW_TABLE = (np.insert(table_keys, at[missing], unique[missing]),
+                     np.insert(table_values, at[missing], fresh))
+        _note_misses("jw_word_pairs", int(missing.sum()))
+    return scores[inverse]
+
+
+def _score_word_pairs(keys: np.ndarray) -> np.ndarray:
+    """Jaro-Winkler of the word pairs behind ``keys``, batched.
+
+    Words match ``[a-z0-9]+``, so they are already normalized and never
+    empty — exactly the input ``sim._jaro_winkler_block`` requires.  One
+    block runs per length of the longer word, so a rare long word does
+    not widen the character loops of every other pair.
+    """
+    id_a = keys >> 32
+    id_b = keys & 0xFFFFFFFF
+    scores = np.ones(keys.size, dtype=np.float64)  # equal words score 1.0
+    differ = np.flatnonzero(id_a != id_b)
+    if not differ.size:
+        return scores
+    words_a = [_WORDS[i] for i in id_a[differ].tolist()]
+    words_b = [_WORDS[i] for i in id_b[differ].tolist()]
+    longest = np.maximum(np.fromiter(map(len, words_a), dtype=np.int64),
+                         np.fromiter(map(len, words_b), dtype=np.int64))
+    order = np.argsort(longest, kind="stable")
+    edges = np.flatnonzero(np.diff(longest[order])) + 1
+    for group in np.split(order, edges):
+        scores[differ[group]] = sim._jaro_winkler_block(
+            [words_a[i] for i in group.tolist()],
+            [words_b[i] for i in group.tolist()],
+        )
+    return scores
 
 
 # ----------------------------------------------------------------------

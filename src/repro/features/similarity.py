@@ -237,13 +237,18 @@ _PAD_B = -1
 
 
 def _char_matrix(strings: Sequence[str], width: int, pad: int) -> np.ndarray:
-    """Stack strings into an (n, width) int32 code-point matrix."""
+    """Stack strings into an (n, width) int32 code-point matrix.
+
+    All strings are encoded in one go (UTF-32 spends one unit per code
+    point, so ``len`` gives each string's share) and scattered row-major
+    into the cells left of each row's length.
+    """
     out = np.full((len(strings), max(width, 1)), pad, dtype=np.int32)
-    for row, text in enumerate(strings):
-        if text:
-            out[row, :len(text)] = np.frombuffer(
-                text.encode("utf-32-le"), dtype=np.uint32
-            ).astype(np.int32)
+    lengths = np.fromiter(map(len, strings), dtype=np.int64,
+                          count=len(strings))
+    codes = np.frombuffer("".join(strings).encode("utf-32-le"),
+                          dtype=np.uint32)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = codes
     return out
 
 

@@ -20,8 +20,6 @@ live or finished — and exposes:
 No third-party dependency, no background thread beyond what
 ``ThreadingHTTPServer`` spawns per request, and strictly read-only over
 the run directory — the monitor can never perturb the run it watches.
-This surface is the foundation for ROADMAP item 2's
-Corleone-as-a-service ``/metrics``.
 """
 
 from __future__ import annotations
