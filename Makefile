@@ -30,7 +30,7 @@ bench:
 # BENCH_faults.json (gateway overhead/recovery), BENCH_obs.json
 # (run-telemetry instrumentation overhead), BENCH_shard.json
 # (sharded blocking worker-scaling curve), BENCH_plan.json
-# (plan-compiler fused blocking + memmap spill) and BENCH_storage.json
+# (plan-compiler cell pruning + memmap spill) and BENCH_storage.json
 # (durable-storage fsync overhead + crash-recovery sweep).
 bench-smoke:
 	mkdir -p benchmarks/results
@@ -53,8 +53,8 @@ bench-shard:
 	mkdir -p benchmarks/results
 	$(PYTHON) benchmarks/collect_results.py --shard
 
-# The plan compiler's fused-blocking speedup and memmap spill
-# behaviour, one fresh subprocess per variant for honest peak RSS
+# The plan compiler's cell pruning and memmap spill behaviour,
+# one fresh subprocess per variant for honest peak RSS
 # (docs/architecture.md, "The plan compiler"); refreshes
 # BENCH_plan.json and benchmarks/results/plan_compiler.txt.
 bench-plan:

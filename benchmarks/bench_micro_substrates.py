@@ -69,11 +69,13 @@ class TestVectorizationMicro:
 
 
 class TestEngineThroughput:
-    """Scalar vs batched vectorization on products at 10k pairs.
+    """Per-pair scalar loop vs batched vectorization, products, 10k pairs.
 
-    The pair of timings (same pairs, same library, engine switched)
-    is the headline number for the batched feature-evaluation engine;
-    ``collect_results.py --substrates`` distills their ratio into the
+    The pair of timings (same pairs, same library) is the headline
+    number for the batched feature-evaluation engine: the scalar arm is
+    the ``Feature.value`` loop the parity tests use as their oracle,
+    the batched arm is :func:`vectorize_pairs`.  ``collect_results.py
+    --substrates`` distills their ratio into the
     ``BENCH_substrates.json`` baseline.
     """
 
@@ -98,27 +100,35 @@ class TestEngineThroughput:
         ]
         return dataset, library, pairs
 
-    def _run(self, benchmark, products_world, engine, rounds):
-        from repro.features.vectorize import vectorize_pairs
-        dataset, library, pairs = products_world
-        result = benchmark.pedantic(
-            lambda: vectorize_pairs(
-                dataset.table_a, dataset.table_b, pairs, library,
-                engine=engine,
-            ),
-            rounds=rounds, iterations=1, warmup_rounds=1,
-        )
+    def _run(self, benchmark, vectorize, engine, rounds):
+        result = benchmark.pedantic(vectorize, rounds=rounds,
+                                    iterations=1, warmup_rounds=1)
         benchmark.extra_info["engine"] = engine
         benchmark.extra_info["pairs"] = self.N_PAIRS
         assert len(result) == self.N_PAIRS
 
     def test_vectorize_products_10k_scalar(self, benchmark,
                                            products_world):
-        self._run(benchmark, products_world, "scalar", rounds=2)
+        dataset, library, pairs = products_world
+
+        def scalar():
+            rows = []
+            for pair in pairs:
+                record_a = dataset.table_a[pair.a_id]
+                record_b = dataset.table_b[pair.b_id]
+                rows.append([feature.value(record_a, record_b)
+                             for feature in library])
+            return rows
+
+        self._run(benchmark, scalar, "scalar", rounds=2)
 
     def test_vectorize_products_10k_batched(self, benchmark,
                                             products_world):
-        self._run(benchmark, products_world, "batched", rounds=5)
+        from repro.features.vectorize import vectorize_pairs
+        dataset, library, pairs = products_world
+        self._run(benchmark, lambda: vectorize_pairs(
+            dataset.table_a, dataset.table_b, pairs, library),
+            "batched", rounds=5)
 
 
 class TestForestMicro:

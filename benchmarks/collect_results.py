@@ -62,10 +62,10 @@ committed ``BENCH_obs.json`` (CI runs this as a soft gate):
     python benchmarks/collect_results.py --check-regress
 
 A seventh mode measures the sharded multi-core blocking executor
-(docs/architecture.md): the streaming baseline versus
-``repro.exec.apply_rules_sharded`` at 1/2/4/8 workers on a
-citations-shaped workload, checking that every worker count returns a
-candidate list bit-identical to the sequential path, recorded as
+(docs/architecture.md): ``repro.exec.apply_rules_sharded`` at 1/2/4/8
+workers on a citations-shaped workload, with speedups against its own
+one-worker (in-process) run, checking that every worker count returns
+a candidate list bit-identical to the one-worker list, recorded as
 ``BENCH_shard.json`` plus a ``shard_scaling`` result table:
 
     python benchmarks/collect_results.py --shard
@@ -83,12 +83,12 @@ result table:
     python benchmarks/collect_results.py --storage
 
 A ninth mode measures the columnar plan compiler
-(docs/architecture.md, "The plan compiler"): full-matrix streaming
-blocking versus the fused plan executor on a citations-shaped
-workload, and in-RAM versus memmap-spilled candidate vectorization —
+(docs/architecture.md, "The plan compiler"): blocking's one path on a
+citations-shaped workload with the feature cells its plan computes and
+prunes, and in-RAM versus memmap-spilled candidate vectorization —
 each variant in its own fresh subprocess so the recorded peak RSS is
-honest, with survivor/matrix checksums proving bit-identity.  Recorded
-as ``BENCH_plan.json`` plus a ``plan_compiler`` result table:
+honest, with matrix checksums proving bit-identity.  Recorded as
+``BENCH_plan.json`` plus a ``plan_compiler`` result table:
 
     python benchmarks/collect_results.py --plan
 """
@@ -1017,16 +1017,15 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
     """Measure the sharded blocking executor's worker scaling curve.
 
     Applies two blocking rules over a citations-shaped A x B workload
-    once through :func:`repro.core.blocker.apply_rules_streaming` (the
-    sequential baseline) and once per worker count through
-    :func:`repro.exec.apply_rules_sharded`, recording wall-clock best-of
-    ``repeats``, the speedup over streaming and — the contract that
-    makes the speedup meaningful — whether each worker count's survivor
-    list is bit-identical to the sequential one.  ``os.cpu_count()``
-    rides in the payload: speedups are bounded by physical cores, so a
-    flat curve on a 1-core container is expected, not a regression.
-    Writes ``BENCH_shard.json`` and a ``shard_scaling`` result table,
-    and returns the payload.
+    through :func:`repro.exec.apply_rules_sharded` once per worker
+    count (one worker is always measured: it is the in-process
+    baseline), recording wall-clock best-of ``repeats``, the speedup
+    over one worker and — the contract that makes the speedup
+    meaningful — whether each worker count's survivor list is
+    bit-identical to the one-worker list.  ``os.cpu_count()`` rides in
+    the payload: speedups are bounded by physical cores.  Writes
+    ``BENCH_shard.json`` and a ``shard_scaling`` result table, and
+    returns the payload.
 
     ``full=True`` (the ``--shard-full`` flag) additionally runs one
     sharded pass over the *paper-size* Citations product (2616 x 64263
@@ -1039,7 +1038,6 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
 
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
-    from repro.core.blocker import apply_rules_streaming
     from repro.exec import apply_rules_sharded
     from repro.features.library import build_feature_library
     from repro.rules.predicates import Predicate
@@ -1049,9 +1047,8 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
     dataset = generate_citations(n_a=n_a, n_b=n_b,
                                  n_matches=max(4, n_a // 10), seed=7)
     library = build_feature_library(dataset.table_a, dataset.table_b)
-    # One corpus-independent rule plus one TF/IDF rule: the latter is
-    # exactly the class the legacy parallel path had to run sequentially
-    # and the sharded executor parallelizes via the fork-shared caches.
+    # One corpus-independent rule plus one TF/IDF rule, whose corpus
+    # statistics the forked workers share through the parent's caches.
     rules = []
     for name, threshold in (("title_jaccard_word", 0.3),
                             ("title_cosine_tfidf", 0.3)):
@@ -1072,18 +1069,21 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
             times.append(time.perf_counter() - started)
         return min(times), result
 
-    streaming_seconds, golden = best_of(lambda: apply_rules_streaming(
-        dataset.table_a, dataset.table_b, rules, library))
-
-    workers: dict[str, dict] = {}
-    for n_workers in worker_counts:
-        seconds, survivors = best_of(lambda n=n_workers: apply_rules_sharded(
+    worker_counts = tuple(sorted({1, *worker_counts}))
+    timed = {
+        n_workers: best_of(lambda n=n_workers: apply_rules_sharded(
             dataset.table_a, dataset.table_b, rules, library, n_workers=n))
-        workers[str(n_workers)] = {
+        for n_workers in worker_counts
+    }
+    baseline_seconds, golden = timed[1]
+    workers = {
+        str(n_workers): {
             "seconds": round(seconds, 4),
-            "speedup_vs_streaming": round(streaming_seconds / seconds, 3),
+            "speedup_vs_one_worker": round(baseline_seconds / seconds, 3),
             "bit_identical": survivors == golden,
         }
+        for n_workers, (seconds, survivors) in timed.items()
+    }
 
     payload = {
         "run": {
@@ -1095,7 +1095,6 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
             "survivors": len(golden),
             "peak_rss_kb": _peak_rss_kb(),
         },
-        "streaming_seconds": round(streaming_seconds, 4),
         "workers": workers,
         "merge_determinism_ok": all(
             entry["bit_identical"] for entry in workers.values()
@@ -1146,15 +1145,14 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
         "",
         "workers  seconds  speedup  bit-identical",
         "-------  -------  -------  -------------",
-        f"stream   {payload['streaming_seconds']:>7.3f}     1.00"
-        "  (baseline)",
     ]
     for n_workers in worker_counts:
         entry = workers[str(n_workers)]
+        note = ("(baseline)" if n_workers == 1
+                else "yes" if entry["bit_identical"] else "NO")
         lines.append(
             f"{n_workers:>7}  {entry['seconds']:>7.3f}  "
-            f"{entry['speedup_vs_streaming']:>7.2f}  "
-            f"{'yes' if entry['bit_identical'] else 'NO'}"
+            f"{entry['speedup_vs_one_worker']:>7.2f}  {note}"
         )
     full_entry = payload.get("citations_full")
     if full_entry is not None:
@@ -1179,10 +1177,10 @@ _PLAN_CHILD = """
 import hashlib, json, sys, tempfile, time
 from pathlib import Path
 
-from repro.core.blocker import apply_rules_streaming
+from repro.exec import apply_rules_sharded
 from repro.features.library import build_feature_library
 from repro.features.vectorize import vectorize_pairs
-from repro.plan import PlanStats, SpillManager, apply_rules_plan
+from repro.plan import PlanStats, SpillManager
 from repro.rules.predicates import Predicate
 from repro.rules.rule import Rule
 from repro.synth.citations import generate_citations
@@ -1206,24 +1204,16 @@ rules = [
 ]
 out = {"variant": variant}
 
-if variant in ("blocking_streaming", "blocking_plan"):
+if variant == "blocking":
     stats = PlanStats()
     started = time.perf_counter()
-    if variant == "blocking_streaming":
-        survivors = apply_rules_streaming(
-            dataset.table_a, dataset.table_b, rules, library)
-    else:
-        survivors = apply_rules_plan(
-            dataset.table_a, dataset.table_b, rules, library,
-            stats=stats)
-        out["plan_stats"] = stats.as_dict()
+    survivors = apply_rules_sharded(
+        dataset.table_a, dataset.table_b, rules, library, stats=stats)
     out["seconds"] = time.perf_counter() - started
+    out["plan_stats"] = stats.as_dict()
     out["survivors"] = len(survivors)
-    out["survivors_sha256"] = hashlib.sha256(
-        "\\n".join(f"{p.a_id}|{p.b_id}" for p in survivors)
-        .encode()).hexdigest()
 else:  # vectorize_ram / vectorize_spill
-    pairs = apply_rules_streaming(
+    pairs = apply_rules_sharded(
         dataset.table_a, dataset.table_b, rules, library)
     spill_dir = tempfile.mkdtemp()
     started = time.perf_counter()
@@ -1234,8 +1224,7 @@ else:  # vectorize_ram / vectorize_spill
         buffer = spill.allocate("candidates",
                                 (len(pairs), len(library)))
         candidates = vectorize_pairs(
-            dataset.table_a, dataset.table_b, pairs, library,
-            engine="plan", out=buffer)
+            dataset.table_a, dataset.table_b, pairs, library, out=buffer)
         out["spill_threshold_bytes"] = 1 << 13
         out["bytes_spilled"] = spill.bytes_spilled
         spill.close()
@@ -1255,18 +1244,18 @@ print(json.dumps(out))
 
 def collect_plan(output: Path | None = None,
                  n_a: int = 150, n_b: int = 400) -> dict:
-    """Measure the plan compiler's pruning speedup and spill behaviour.
+    """Measure the plan compiler's cell pruning and spill behaviour.
 
-    Four fresh subprocesses over the same citations-shaped workload
+    Three fresh subprocesses over the same citations-shaped workload
     (each variant gets its own interpreter so ``ru_maxrss`` measures
-    that variant alone): full-matrix streaming blocking versus the
-    fused plan executor under a three-rule cheap-to-expensive rule set
-    (the shape the compiler's predicate pushdown exploits), then
+    that variant alone): blocking under a three-rule cheap-to-expensive
+    rule set (the shape the compiler's predicate pushdown exploits),
+    recording the feature cells the plan computed and pruned, then
     in-RAM versus memmap-spilled candidate vectorization where the
     spill variant's matrix exceeds an 8 KiB configured RAM cap.
-    SHA-256 checksums of the survivor list and the feature matrix
-    assert bit-identity across engines.  Writes ``BENCH_plan.json``
-    and a ``plan_compiler`` result table, and returns the payload.
+    SHA-256 checksums of the feature matrix assert that spilling is
+    bit-identical.  Writes ``BENCH_plan.json`` and a ``plan_compiler``
+    result table, and returns the payload.
     """
     import os
     import subprocess
@@ -1277,7 +1266,7 @@ def collect_plan(output: Path | None = None,
         "PYTHONPATH", "")
     # TF/IDF cosine sums iterate token *sets*, so summation order — and
     # therefore the float bytes — depends on string hash order.  Pin
-    # the hash seed so all four interpreters agree and the cross-process
+    # the hash seed so all interpreters agree and the cross-process
     # checksums compare bytes, not hash-randomization noise.
     env["PYTHONHASHSEED"] = "0"
 
@@ -1288,39 +1277,32 @@ def collect_plan(output: Path | None = None,
             capture_output=True, text=True, env=env, check=True)
         return json.loads(proc.stdout.splitlines()[-1])
 
-    streaming = run_variant("blocking_streaming")
-    plan = run_variant("blocking_plan")
+    blocking = run_variant("blocking")
     ram = run_variant("vectorize_ram")
     spill = run_variant("vectorize_spill")
 
-    assert plan["survivors_sha256"] == streaming["survivors_sha256"], (
-        "plan executor diverged from streaming blocking")
     assert spill["matrix_sha256"] == ram["matrix_sha256"], (
         "spilled vectorization diverged from the in-RAM matrix")
     assert spill["bytes_spilled"] > spill["spill_threshold_bytes"], (
         "spill variant never exceeded its configured RAM cap")
 
-    stats = plan["plan_stats"]
+    stats = blocking["plan_stats"]
     payload = {
         "run": {
             "dataset": f"citations {n_a}x{n_b}",
             "pairs": n_a * n_b,
             "rules": 3,
-            "survivors": streaming["survivors"],
+            "survivors": blocking["survivors"],
         },
         "blocking": {
-            "streaming_seconds": round(streaming["seconds"], 4),
-            "plan_seconds": round(plan["seconds"], 4),
-            "speedup": round(streaming["seconds"] / plan["seconds"], 2),
-            "bit_identical": True,
+            "seconds": round(blocking["seconds"], 4),
             "cells_computed": stats["cells_computed"],
             "cells_pruned": stats["cells_pruned"],
             "pruned_fraction": round(
                 stats["cells_pruned"]
                 / max(1, stats["cells_pruned"] + stats["cells_computed"]),
                 4),
-            "streaming_peak_rss_kb": streaming["peak_rss_kb"],
-            "plan_peak_rss_kb": plan["peak_rss_kb"],
+            "peak_rss_kb": blocking["peak_rss_kb"],
         },
         "vectorize": {
             "pairs": ram["pairs"],
@@ -1340,9 +1322,8 @@ def collect_plan(output: Path | None = None,
 
     target = output if output is not None else PLAN_OUTPUT
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {target} (blocking speedup "
-          f"{payload['blocking']['speedup']:.2f}x, "
-          f"{payload['blocking']['pruned_fraction']:.0%} cells pruned)")
+    print(f"wrote {target} "
+          f"({payload['blocking']['pruned_fraction']:.0%} cells pruned)")
 
     run = payload["run"]
     blocking = payload["blocking"]
@@ -1354,13 +1335,11 @@ def collect_plan(output: Path | None = None,
         "\n"
         "variant             seconds  peak RSS  notes\n"
         "------------------  -------  --------  -----\n"
-        f"blocking streaming  {blocking['streaming_seconds']:>7.3f}  "
-        f"{blocking['streaming_peak_rss_kb']:>6} K  full matrix\n"
-        f"blocking plan       {blocking['plan_seconds']:>7.3f}  "
-        f"{blocking['plan_peak_rss_kb']:>6} K  "
-        f"{blocking['speedup']:.2f}x, "
-        f"{blocking['pruned_fraction']:.0%} cells pruned, "
-        "bit-identical\n"
+        f"blocking            {blocking['seconds']:>7.3f}  "
+        f"{blocking['peak_rss_kb']:>6} K  "
+        f"{blocking['cells_computed']} cells computed, "
+        f"{blocking['cells_pruned']} pruned "
+        f"({blocking['pruned_fraction']:.0%})\n"
         f"vectorize in-RAM    {vec['ram_seconds']:>7.3f}  "
         f"{vec['ram_peak_rss_kb']:>6} K  "
         f"{vec['matrix_bytes']} B matrix\n"

@@ -85,20 +85,14 @@ class BlockerConfig:
     max_labels_per_rule: int = 200
     """Safety cap on crowd labels spent evaluating a single rule."""
 
-    executor: str = "streaming"
-    """How chosen rules are applied over A x B: "streaming" (single
-    process, the PR 1 baseline), "parallel" (legacy per-job-pickling
-    worker pool), or "sharded" (fork copy-on-write shards with shared
-    prepared-column caches and per-shard resume — the Hadoop stand-in).
-    All three produce bit-identical candidate sets."""
-
     n_workers: int = 1
-    """Worker processes for the parallel/sharded executors (1 runs the
-    sharded executor in-process; ignored by "streaming")."""
+    """Forked worker processes applying the chosen rules over A x B
+    (:mod:`repro.exec`); 1 runs every shard in-process, without forking.
+    The candidate set is bit-identical for every worker count."""
 
     shard_size: int = 0
-    """Rows of A per shard for the sharded executor; 0 auto-sizes to
-    roughly four shards per worker."""
+    """Rows of A per blocking shard; 0 auto-sizes to roughly four
+    shards per worker."""
 
 
 @dataclass(frozen=True)
@@ -251,18 +245,13 @@ class GatewayConfig:
 
 @dataclass(frozen=True)
 class PlanConfig:
-    """Columnar plan compiler + spill settings (:mod:`repro.plan`).
+    """Spill settings for the plan layer (:mod:`repro.plan`).
 
-    The plan engine compiles blocking rules and the feature library
-    into a cheapest-first, predicate-pushdown execution plan and can
-    back oversized matrices with memory-mapped spill files under the
-    run directory — see "The plan compiler" in docs/architecture.md.
-    Results are bit-identical with the plan engine on or off; only the
-    work schedule and memory residency change.
+    Oversized candidate feature matrices can be backed by memory-mapped
+    spill files under the run directory — see "The plan compiler" in
+    docs/architecture.md.  Results are bit-identical with spilling on
+    or off; only memory residency changes.
     """
-
-    enabled: bool = False
-    """Run blocking/vectorization through the compiled plan engine."""
 
     spill_threshold_mb: float = 0.0
     """Matrices at least this many MiB spill to memory-mapped ``.npy``
@@ -315,8 +304,6 @@ def _validate(cfg: CorleoneConfig) -> None:
         (cfg.blocker.sampling_strategy in ("uniform", "weighted"),
          "blocker.sampling_strategy must be uniform or weighted"),
         (cfg.blocker.top_k_rules >= 1, "blocker.top_k_rules must be >= 1"),
-        (cfg.blocker.executor in ("streaming", "parallel", "sharded"),
-         "blocker.executor must be streaming, parallel or sharded"),
         (cfg.blocker.n_workers >= 1, "blocker.n_workers must be >= 1"),
         (cfg.blocker.shard_size >= 0, "blocker.shard_size must be >= 0"),
         (0 < cfg.blocker.min_precision < 1,

@@ -26,10 +26,8 @@ from ..data.sampling import (
     weighted_blocker_sample,
 )
 from ..data.table import Table
-from ..features.batch import table_cache
 from ..features.library import FeatureLibrary
 from ..features.vectorize import vectorize_pairs
-from ..obs.profiling import profile_section
 from ..rules.evaluation import RuleEvaluation, evaluate_rules
 from ..rules.extraction import extract_negative_rules
 from ..rules.rule import Rule
@@ -38,88 +36,6 @@ from .matcher import ActiveLearningMatcher, MatcherResult
 
 _STREAM_CHUNK = 8192
 """Pairs per chunk when applying rules over A x B."""
-
-
-class ChunkEvaluator:
-    """Evaluates blocking rules over aligned chunks of record pairs.
-
-    The shared core of every executor (streaming, parallel, sharded):
-    it owns the rule set, the needed-feature projection and the
-    per-table prepared-column caches, and turns a chunk of aligned
-    ``(records_a, records_b)`` pairs into a boolean *blocked* mask.
-    Because each batch kernel is bit-exact regardless of chunk
-    boundaries, any executor that feeds pairs through this class in A x B
-    stream order produces bit-identical survivors.
-
-    Missing-value semantics (the blocking NaN contract): a missing
-    attribute value surfaces as ``np.nan`` in the feature matrix, and a
-    predicate comparison against NaN evaluates **falsy** unless the
-    predicate was extracted with ``nan_satisfies`` — so *NaN never
-    blocks*: a pair with missing evidence survives to the matcher
-    rather than being silently discarded, matching the scalar
-    ``Feature.compute`` path.  ``blocked_mask`` enforces this with an
-    explicit guard instead of leaving it to the predicate kernels.
-    """
-
-    def __init__(self, table_a: Table, table_b: Table,
-                 rules: list[Rule], library: FeatureLibrary) -> None:
-        self.table_a = table_a
-        self.table_b = table_b
-        self.rules = rules
-        # Only the features the rules reference are computed — the
-        # per-pair cost the greedy selector optimized for.
-        self.needed = sorted({
-            index for rule in rules for index in rule.feature_indices
-        })
-        self.needed_features = [library.features[i] for i in self.needed]
-        self.width = len(library)
-        self.cache_a = table_cache(table_a)
-        self.cache_b = table_cache(table_b)
-        # A rule whose predicates ALL tolerate NaN can legitimately
-        # block a fully-missing row; any other rule cannot, and the
-        # guard below makes that invariant explicit.
-        self.nan_can_block = any(
-            all(p.nan_satisfies for p in rule.predicates)
-            for rule in rules
-        )
-
-    def blocked_mask(self, records_a: list, records_b: list) -> np.ndarray:
-        """Boolean mask: True where some rule blocks the aligned pair."""
-        # Fill only the needed columns of a full-width matrix so
-        # predicate indices line up; the rest stays NaN and is never
-        # read (no predicate references an unfilled column).
-        matrix = np.full((len(records_a), self.width), np.nan)
-        for index, feature in zip(self.needed, self.needed_features):
-            matrix[:, index] = feature.batch_value(
-                records_a, records_b, self.cache_a, self.cache_b
-            )
-        blocked = np.zeros(len(records_a), dtype=bool)
-        for rule in self.rules:
-            blocked |= rule.applies(matrix)
-            if blocked.all():
-                break
-        if not self.nan_can_block and self.needed and blocked.any():
-            # NaN-never-blocks guard: a pair whose needed features are
-            # all missing carries no blocking evidence, so it must
-            # survive.  Predicate.evaluate already returns False on NaN
-            # (absent nan_satisfies), making this a provable no-op —
-            # kept explicit so the missing-value contract is enforced
-            # here rather than implied by kernel internals.
-            all_missing = np.isnan(matrix[:, self.needed]).all(axis=1)
-            blocked &= ~all_missing
-        return blocked
-
-    def survivors(self, pairs: list[Pair]) -> list[Pair]:
-        """The subset of ``pairs`` no rule blocks, in input order."""
-        if not pairs:
-            return []
-        records_a = [self.table_a[pair.a_id] for pair in pairs]
-        records_b = [self.table_b[pair.b_id] for pair in pairs]
-        blocked = self.blocked_mask(records_a, records_b)
-        return [
-            pair for pair, is_blocked in zip(pairs, blocked)
-            if not is_blocked
-        ]
 
 
 @dataclass
@@ -141,9 +57,9 @@ class BlockerResult:
     pairs_labeled: int = 0
     dollars: float = 0.0
     plan_stats: dict | None = None
-    """Plan-engine cell accounting (``PlanStats.as_dict()``), when the
-    plan engine applied the rules.  Like ``matcher_result``, this is
-    run-time telemetry and is not serialized by ``persistence``."""
+    """Plan cell accounting (``PlanStats.as_dict()``), when rules were
+    applied.  Like ``matcher_result``, this is run-time telemetry and
+    is not serialized by ``persistence``."""
 
     @property
     def umbrella_size(self) -> int:
@@ -170,8 +86,6 @@ class Blocker:
         """Optional engine EventBus for shard-lifecycle/fallback events."""
         self.shard_dir = shard_dir
         """Optional directory for the sharded executor's resume files."""
-        self._plan_stats: dict | None = None
-        """Cell accounting from the last plan-engine rule application."""
 
     def run(self, table_a: Table, table_b: Table, library: FeatureLibrary,
             seed_labels: dict[Pair, bool]) -> BlockerResult:
@@ -235,9 +149,10 @@ class Blocker:
         accepted = [ev.rule for ev in evaluations if ev.accepted]
 
         chosen = self.select_rule_subset(accepted, sample, total)
-        self._plan_stats = None
+        plan_stats = None
         if chosen:
-            survivors = self._apply_rules(table_a, table_b, chosen, library)
+            survivors, plan_stats = self._apply_rules(table_a, table_b,
+                                                      chosen, library)
         else:
             survivors = list(iter_cartesian(table_a, table_b))
 
@@ -253,7 +168,7 @@ class Blocker:
             matcher_result=matcher_result,
             pairs_labeled=spent.pairs_labeled,
             dollars=spent.dollars,
-            plan_stats=self._plan_stats,
+            plan_stats=plan_stats,
         )
 
     def select_rule_subset(self, rules: list[Rule], sample: CandidateSet,
@@ -300,70 +215,26 @@ class Blocker:
 
     def _apply_rules(self, table_a: Table, table_b: Table,
                      rules: list[Rule],
-                     library: FeatureLibrary) -> list[Pair]:
-        """Apply chosen rules via the configured executor.
+                     library: FeatureLibrary) -> tuple[list[Pair], dict]:
+        """Apply the chosen rules over A x B through the sharded executor.
 
-        All executors return bit-identical survivor lists; the config
-        only chooses the execution substrate.  ``plan.enabled`` swaps
-        the per-chunk evaluation strategy for the compiled plan engine
-        (:mod:`repro.plan`) — cheapest-rule-first with predicate
-        pushdown — without changing the survivor set; under the
-        sharded executor the plan runs per shard against the
-        fork-shared caches.  The plan engine supersedes the legacy
-        ``parallel`` pool (which rebuilds libraries per worker); with
-        ``plan.enabled`` the ``parallel`` setting falls through to the
-        single-process plan path.
+        Returns the survivors and the compiled plan's cell accounting
+        (``PlanStats.as_dict()``).  The survivor set does not depend on
+        ``n_workers`` or ``shard_size``.
         """
-        blocker_cfg = self.config.blocker
-        plan_cfg = self.config.plan
-        if blocker_cfg.executor == "sharded":
-            from ..exec import apply_rules_sharded
+        from ..exec import apply_rules_sharded
+        from ..plan import PlanStats
 
-            if plan_cfg.enabled:
-                from ..plan import PlanStats
-
-                stats = PlanStats()
-                survivors = apply_rules_sharded(
-                    table_a, table_b, rules, library,
-                    n_workers=blocker_cfg.n_workers,
-                    shard_size=blocker_cfg.shard_size,
-                    shard_dir=self.shard_dir,
-                    bus=self.bus,
-                    engine="plan",
-                    stats=stats,
-                )
-                self._plan_stats = stats.as_dict()
-                return survivors
-            return apply_rules_sharded(
-                table_a, table_b, rules, library,
-                n_workers=blocker_cfg.n_workers,
-                shard_size=blocker_cfg.shard_size,
-                shard_dir=self.shard_dir,
-                bus=self.bus,
-            )
-        if plan_cfg.enabled:
-            from ..plan import PlanStats, apply_rules_plan
-
-            stats = PlanStats()
-            survivors = apply_rules_plan(table_a, table_b, rules, library,
-                                         stats=stats)
-            self._plan_stats = stats.as_dict()
-            return survivors
-        if blocker_cfg.executor == "parallel":
-            return apply_rules_parallel(
-                table_a, table_b, rules, library,
-                n_workers=blocker_cfg.n_workers,
-                on_fallback=self._emit_fallback,
-            )
-        return apply_rules_streaming(table_a, table_b, rules, library)
-
-    def _emit_fallback(self, reason: str, detail: str) -> None:
-        """Surface lost parallelism on the engine bus (if attached)."""
-        if self.bus is None:
-            return
-        from ..engine.events import EVENT_BLOCKER_FALLBACK
-
-        self.bus.emit(EVENT_BLOCKER_FALLBACK, reason=reason, detail=detail)
+        stats = PlanStats()
+        survivors = apply_rules_sharded(
+            table_a, table_b, rules, library,
+            n_workers=self.config.blocker.n_workers,
+            shard_size=self.config.blocker.shard_size,
+            shard_dir=self.shard_dir,
+            bus=self.bus,
+            stats=stats,
+        )
+        return survivors, stats.as_dict()
 
     def _known_labels(self, sample: CandidateSet) -> dict[int, bool]:
         """Sample row -> crowd label, for rows the cache knows."""
@@ -375,183 +246,16 @@ class Blocker:
         }
 
 
-def apply_rules_parallel(table_a: Table, table_b: Table,
-                         rules: list[Rule], library: FeatureLibrary,
-                         n_workers: int = 2,
-                         chunk_size: int = _STREAM_CHUNK,
-                         on_fallback=None) -> list[Pair]:
-    """Apply blocking rules over A x B across worker processes (legacy).
-
-    The original multi-core stand-in for the paper's Hadoop job: A is
-    broadcast to every worker and the rows of A are sharded, each worker
-    streaming its shard's slice of A x B through
-    :func:`apply_rules_streaming`.  Survivor order matches the
-    sequential function (shards are concatenated in A order), so the
-    two are interchangeable.  :func:`repro.exec.apply_rules_sharded`
-    supersedes this path — it shares the prepared-column caches via
-    fork copy-on-write instead of pickling tables per job, shards TF/IDF
-    features safely, and can checkpoint/resume — but this function is
-    kept for its pickling workers, which also run under spawn-only
-    platforms.
-
-    Feature closures cannot cross process boundaries, so workers rebuild
-    the library from the tables (cheap relative to pair scoring).  That
-    makes corpus-dependent features unsafe to shard — a worker's TF/IDF
-    weights would differ from the full corpus — so rules touching a
-    ``cosine_tfidf`` feature force the sequential path.  Each worker
-    verifies its rebuilt library against the parent's feature names
-    (shipped in the job payload) — any mismatch aborts the pool and
-    falls back to sequential application with a warning, since rule
-    indices into a misaligned library would score the wrong features.
-    Also falls back when ``n_workers <= 1`` or A is tiny.
-
-    Lost parallelism is no longer silent: ``on_fallback(reason,
-    detail)`` is invoked (when provided) with ``"corpus_dependent"`` or
-    ``"library_mismatch"`` before falling back, so callers can emit the
-    ``blocker_parallel_fallback`` engine event / obs counter.  The
-    ``n_workers <= 1`` and tiny-A cases are deliberate sizing choices,
-    not lost parallelism, and are not reported.
-    """
-    corpus_dependent = any(
-        library.features[index].measure == "cosine_tfidf"
-        for rule in rules for index in rule.feature_indices
-    )
-    if corpus_dependent:
-        if on_fallback is not None:
-            on_fallback(
-                "corpus_dependent",
-                "rules reference cosine_tfidf features whose corpus "
-                "statistics cannot be rebuilt per shard; use the "
-                "sharded executor to parallelize them",
-            )
-        return apply_rules_streaming(table_a, table_b, rules, library,
-                                     chunk_size)
-    if n_workers <= 1 or len(table_a) < 2 * n_workers:
-        return apply_rules_streaming(table_a, table_b, rules, library,
-                                     chunk_size)
-    import multiprocessing
-
-    from ..exec.sharding import plan_shards
-
-    a_ids = table_a.record_ids
-    shard_size = -(-len(a_ids) // n_workers)
-    # plan_shards partitions range(len(a_ids)) into non-empty slices by
-    # construction — the previous ceil-division slicing could enumerate
-    # an empty trailing shard, which would dispatch a no-op job whose
-    # empty subset table breaks library rebuilding in the worker.
-    shards = [
-        a_ids[shard.start:shard.stop]
-        for shard in plan_shards(len(a_ids), shard_size)
-    ]
-    rule_payload = [_rule_payload(rule) for rule in rules]
-    jobs = [
-        (table_a.subset(shard, name=f"shard{i}"), table_b,
-         rule_payload, library.names, chunk_size)
-        for i, shard in enumerate(shards)
-    ]
-    context = multiprocessing.get_context("fork")
-    try:
-        with context.Pool(processes=min(n_workers, len(jobs))) as pool:
-            results = pool.map(_apply_shard, jobs)
-    except LibraryMismatchError as error:
-        # A worker's rebuilt library did not reproduce the parent's
-        # feature order, so the rules' feature indices would have read
-        # the wrong columns.  Fall back to the (correct) sequential path.
-        import warnings
-
-        if on_fallback is not None:
-            on_fallback("library_mismatch", str(error))
-        warnings.warn(
-            f"parallel blocking disabled: {error}; "
-            "falling back to sequential rule application",
-            RuntimeWarning, stacklevel=2,
-        )
-        return apply_rules_streaming(table_a, table_b, rules, library,
-                                     chunk_size)
-    survivors: list[Pair] = []
-    for part in results:
-        survivors.extend(Pair(a, b) for a, b in part)
-    return survivors
-
-
-class LibraryMismatchError(Exception):
-    """A worker's rebuilt feature library disagrees with the parent's.
-
-    Raised (module-level, so it pickles across the process boundary) when
-    a shard's :func:`build_feature_library` output has different feature
-    names/order than the parent library the rules were extracted from —
-    rule predicate indices would silently score the wrong features.
-    """
-
-
-def _rule_payload(rule: Rule) -> dict:
-    """A picklable description of a rule (predicates carry no closures)."""
-    return {
-        "predicts_match": rule.predicts_match,
-        "cost": rule.cost,
-        "source": rule.source,
-        "predicates": [
-            (p.feature_index, p.feature_name, p.le, p.threshold,
-             p.nan_satisfies)
-            for p in rule.predicates
-        ],
-    }
-
-
-def _rule_from_payload(payload: dict) -> Rule:
-    from ..rules.predicates import Predicate
-
-    return Rule(
-        [Predicate(*fields) for fields in payload["predicates"]],
-        predicts_match=payload["predicts_match"],
-        cost=payload["cost"],
-        source=payload["source"],
-    )
-
-
-def _apply_shard(job: tuple) -> list[tuple[str, str]]:
-    """Worker body: rebuild the library, stream one shard of A x B."""
-    shard_a, table_b, rule_payload, expected_names, chunk_size = job
-    from ..features.library import build_feature_library
-
-    library = build_feature_library(shard_a, table_b)
-    if library.names != tuple(expected_names):
-        raise LibraryMismatchError(
-            f"worker library for shard {shard_a.name!r} has features "
-            f"{library.names!r}, parent expected {tuple(expected_names)!r}"
-        )
-    rules = [_rule_from_payload(payload) for payload in rule_payload]
-    survivors = apply_rules_streaming(shard_a, table_b, rules, library,
-                                      chunk_size)
-    return [(pair.a_id, pair.b_id) for pair in survivors]
-
-
 def apply_rules_streaming(table_a: Table, table_b: Table,
                           rules: list[Rule], library: FeatureLibrary,
                           chunk_size: int = _STREAM_CHUNK) -> list[Pair]:
-    """Apply blocking rules over A x B in chunks; return the survivors.
+    """Apply blocking rules over A x B in-process; return the survivors.
 
-    Only the features the rules actually reference are computed — the
-    per-pair cost the greedy selector optimized for — and each chunk is
-    evaluated through a shared :class:`ChunkEvaluator` (which also
-    defines the missing-value semantics: NaN never blocks).  This is
-    the single-process baseline; :func:`repro.exec.apply_rules_sharded`
-    is the multi-core equivalent and is bit-identical to it.
+    A single-process entry point to :func:`repro.exec.
+    apply_rules_sharded` (one worker, no shard directory), kept for
+    callers that re-apply stored rules such as :mod:`repro.core.reapply`.
     """
-    evaluator = ChunkEvaluator(table_a, table_b, rules, library)
-    survivors: list[Pair] = []
-    chunk: list[Pair] = []
+    from ..exec import apply_rules_sharded
 
-    def flush() -> None:
-        if not chunk:
-            return
-        with profile_section("blocker.stream_flush"):
-            survivors.extend(evaluator.survivors(chunk))
-            chunk.clear()
-
-    for pair in iter_cartesian(table_a, table_b):
-        chunk.append(pair)
-        if len(chunk) >= chunk_size:
-            flush()
-    flush()
-    return survivors
+    return apply_rules_sharded(table_a, table_b, rules, library,
+                               chunk_size=chunk_size)

@@ -264,7 +264,7 @@ class ProgressReporter:
             )
         elif event.name == EVENT_BLOCKER_FALLBACK:
             self._write(
-                f"[{event.sequence}] parallel blocking fell back "
+                f"[{event.sequence}] sharded blocking ran in-process "
                 f"({event.payload.get('reason')})"
             )
         elif event.name == EVENT_ARTIFACT_CORRUPT:

@@ -57,7 +57,6 @@ class BlockStage:
             if result.plan_stats is not None:
                 ctx.telemetry.record_plan_stats(result.plan_stats)
         plan_cfg = ctx.config.plan
-        engine = "plan" if plan_cfg.enabled else "batched"
         out = None
         spill = None
         if (ctx.run_dir is not None
@@ -77,7 +76,7 @@ class BlockStage:
         with ctx.span("section", section="vectorize_candidates"):
             candidates = vectorize_pairs(
                 state.table_a, state.table_b, result.candidate_pairs,
-                state.library, engine=engine, out=out,
+                state.library, out=out,
             )
         if spill is not None:
             # Flush before anything references the file; the manager's

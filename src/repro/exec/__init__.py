@@ -7,8 +7,10 @@ apply_rules_sharded` partitions the rows of A into contiguous shards
 (:mod:`~repro.exec.sharding`), evaluates each shard's slice of A x B in
 worker processes that read the parent's prepared-column caches through
 fork copy-on-write memory (no per-job pickling of tables or features),
-and merges the per-shard survivor lists in shard order — bit-identical
-to the sequential streaming path.  With a shard directory, completed
+and merges the per-shard survivor lists in shard order — the same
+list for every worker count.  It is the only path that applies
+blocking rules; with one worker (the default) it runs in-process.
+With a shard directory, completed
 shards persist as ``shard-*.npz`` files and a killed run resumes by
 loading them instead of recomputing.
 """

@@ -1,48 +1,45 @@
-"""The sharded multi-core A x B rule executor.
+"""The sharded multi-core A x B rule executor — blocking's one path.
 
-This is the laptop-scale replacement for the paper's Hadoop job and for
-the legacy :func:`~repro.core.blocker.apply_rules_parallel`, which
-pickled a subset of A *and all of B* into every worker job and made each
-worker rebuild the feature library from scratch.  Here the expensive
-state crosses the process boundary exactly once, for free:
+This is the laptop-scale replacement for the paper's Hadoop job.  The
+expensive state crosses the process boundary exactly once, for free:
 
-* the parent builds one :class:`~repro.core.blocker.ChunkEvaluator`
-  and **pre-warms** the per-record prepared-column caches
+* the parent compiles one :class:`~repro.plan.PlanExecutor` and
+  **pre-warms** the per-record prepared-column caches
   (:mod:`repro.features.batch`) for every feature the rules read —
   normalized strings, token/q-gram sets, interned word-id arrays,
   TF/IDF weight vectors, numeric columns;
 * workers are *forked*, so tables, rules, the feature library (closures
-  included — corpus-dependent TF/IDF features shard safely here, unlike
-  the legacy pool) and the warmed caches are all inherited through
-  copy-on-write pages — no pickling, no rebuild, no per-job payload
-  beyond a shard index.  CPython's refcounting does touch the shared
-  pages, so residency is not perfectly zero-copy, but nothing is ever
-  serialized or recomputed;
+  included — corpus-dependent TF/IDF features shard safely) and the
+  warmed caches are all inherited through copy-on-write pages — no
+  pickling, no rebuild, no per-job payload beyond a shard index.
+  CPython's refcounting does touch the shared pages, so residency is
+  not perfectly zero-copy, but nothing is ever serialized or
+  recomputed;
 * each worker streams its shard (a contiguous slice of A's rows crossed
-  with all of B) through the same batch kernels as the sequential path,
-  in :data:`~repro.core.blocker._STREAM_CHUNK`-sized chunks.
+  with all of B) through the compiled plan in
+  :data:`~repro.core.blocker._STREAM_CHUNK`-sized chunks.
 
 Determinism: shards partition A's row range in order, every kernel is
 bit-exact regardless of chunk boundaries (the documented
 ``repro.features.batch`` contract), and survivors are merged in shard
-order — so the merged list is bit-identical to
-:func:`~repro.core.blocker.apply_rules_streaming`, worker count and
-shard size notwithstanding.  With a ``shard_dir``, completed shards
-persist (:class:`~repro.exec.sharding.ShardStore`) and a killed run
-resumes by loading them — still bit-identical, because loaded and
-recomputed shards carry the same bytes and the merge order is fixed.
+order — so the merged list holds the survivors in A-major A x B
+order, whatever the worker count and shard size.  With a ``shard_dir``,
+completed shards persist (:class:`~repro.exec.sharding.ShardStore`) and
+a killed run resumes by loading them — still bit-identical, because
+loaded and recomputed shards carry the same bytes and the merge order
+is fixed.
 
-On platforms without ``fork`` (or with ``n_workers <= 1``) the same
-shard loop runs in-process; the fork-unavailable case additionally
-reports a ``blocker_parallel_fallback`` event so lost parallelism is
-visible in ``python -m repro.obs report``.
+With ``n_workers <= 1`` (the default) the shard loop runs in-process
+and nothing forks.  On platforms without ``fork`` the same loop runs
+in-process too, and a ``blocker_parallel_fallback`` event reports the
+lost parallelism in ``python -m repro.obs report``.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..core.blocker import _STREAM_CHUNK, ChunkEvaluator
+from ..core.blocker import _STREAM_CHUNK
 from ..data.pairs import Pair
 from ..data.table import AttrType, Table
 from ..engine.events import (
@@ -57,6 +54,7 @@ from ..obs.workers import (
     merge_worker_sections,
     worker_slot,
 )
+from ..plan import PlanExecutor, PlanStats
 from ..rules.rule import Rule
 from .sharding import Shard, ShardStore, auto_shard_size, plan_shards, \
     shard_fingerprint
@@ -99,8 +97,7 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
                         chunk_size: int = _STREAM_CHUNK,
                         shard_dir: Any = None,
                         bus: Any = None,
-                        engine: str = "chunk",
-                        stats: Any = None) -> list[Pair]:
+                        stats: PlanStats | None = None) -> list[Pair]:
     """Apply blocking rules over A x B via sharded workers; return survivors.
 
     ``shard_size`` of 0 picks :func:`~repro.exec.sharding.
@@ -108,37 +105,23 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
     enables per-shard durability and resume.  ``bus`` (an
     :class:`~repro.engine.events.EventBus` or compatible) receives
     ``shard_started`` / ``shard_completed`` events per shard, in shard
-    order, and a ``blocker_parallel_fallback`` event when requested
-    parallelism could not be used; event order is deterministic, so
-    traces stay byte-identical across replays.
+    order, and a ``blocker_parallel_fallback`` event when the platform
+    cannot fork; event order is deterministic, so traces stay
+    byte-identical across replays.
 
-    ``engine`` selects the per-shard evaluator: ``"chunk"`` is the
-    full-matrix :class:`ChunkEvaluator`, ``"plan"`` runs each shard's
-    slice through the compiled plan (:class:`repro.plan.PlanExecutor`)
-    against the same fork-shared caches.  Survivors are bit-identical
-    either way — the shard fingerprint deliberately excludes the
-    engine, so shard files written by one engine resume under the
-    other.  With ``engine="plan"``, ``stats`` (a
-    :class:`repro.plan.PlanStats`) accumulates the deterministic
-    cell accounting; loaded shards re-contribute their persisted cell
-    counts so resumed metrics converge to the uninterrupted run's.
+    Each shard runs through the compiled plan
+    (:class:`repro.plan.PlanExecutor`).  ``stats`` (optional)
+    accumulates its deterministic cell accounting; loaded shards
+    re-contribute their persisted cell counts so resumed metrics
+    converge to the uninterrupted run's.
 
-    The returned survivor list is bit-identical to
-    :func:`~repro.core.blocker.apply_rules_streaming` on the same
-    inputs, for every worker count, shard size and kill/resume history.
+    Survivors come back in A-major A x B order, identical for every
+    worker count, shard size and kill/resume history.
     """
-    if engine not in ("chunk", "plan"):
-        raise ValueError(f"unknown shard engine {engine!r}")
     if shard_size <= 0:
         shard_size = auto_shard_size(len(table_a), n_workers)
     shards = plan_shards(len(table_a), shard_size)
-    if engine == "plan":
-        from ..plan import PlanExecutor
-
-        evaluator: ChunkEvaluator = PlanExecutor(table_a, table_b, rules,
-                                                 library)
-    else:
-        evaluator = ChunkEvaluator(table_a, table_b, rules, library)
+    evaluator = PlanExecutor(table_a, table_b, rules, library)
     if stats is not None:
         stats.needed_width = len(evaluator.needed)
     with profile_section("blocker.shard_prewarm"):
@@ -181,8 +164,8 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
                     evaluator, shard, chunk_size)
             results[shard.index] = (survivors, scanned, cells, sections)
             if store is not None:
-                _store_shard(store, shard.index, survivors, scanned,
-                             cells, sections)
+                store.write(shard.index, survivors, scanned, cells,
+                            sections=sections)
             _emit(bus, EVENT_SHARD_COMPLETED, shard=shard.index,
                   survivors=len(survivors), pairs_scanned=scanned,
                   worker=slot, cached=False)
@@ -198,15 +181,11 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
         merged.extend(Pair(a_id, b_id) for a_id, b_id in survivors)
         merge_worker_sections(worker_slot(shard.index, n_workers), sections)
         if stats is not None:
-            # A shard file from the chunk engine (or a pre-plan store)
-            # carries no cell count; it computed every needed cell.
-            if cells < 0:
-                cells = scanned * len(evaluator.needed)
             stats.merge_counts(scanned, cells)
     return merged
 
 
-def _run_pool(evaluator: ChunkEvaluator, shards: list[Shard],
+def _run_pool(evaluator: PlanExecutor, shards: list[Shard],
               pending: list[Shard], chunk_size: int, n_workers: int,
               store: ShardStore | None,
               results: dict[int, _ShardResult],
@@ -236,25 +215,13 @@ def _run_pool(evaluator: ChunkEvaluator, shards: list[Shard],
                     _run_shard, indices, chunksize=1):
                 results[index] = (survivors, scanned, cells, sections)
                 if store is not None:
-                    _store_shard(store, index, survivors, scanned,
-                                 cells, sections)
+                    store.write(index, survivors, scanned, cells,
+                                sections=sections)
                 _emit(bus, EVENT_SHARD_COMPLETED, shard=index,
                       survivors=len(survivors), pairs_scanned=scanned,
                       worker=worker_slot(index, n_workers), cached=False)
     finally:
         _SHARED = None
-
-
-def _store_shard(store: ShardStore, index: int,
-                 survivors: list[tuple[str, str]], scanned: int,
-                 cells: int,
-                 sections: dict[str, dict[str, float]]) -> None:
-    """Persist one shard, keeping the legacy 3-argument write signature
-    for the chunk engine (which has no cell accounting to store)."""
-    if cells < 0:
-        store.write(index, survivors, scanned, sections=sections)
-    else:
-        store.write(index, survivors, scanned, cells, sections=sections)
 
 
 def _run_shard(index: int) -> tuple[int, list[tuple[str, str]], int, int,
@@ -277,7 +244,7 @@ def _run_shard(index: int) -> tuple[int, list[tuple[str, str]], int, int,
 
 
 def _shard_survivors(
-        evaluator: ChunkEvaluator, shard: Shard,
+        evaluator: PlanExecutor, shard: Shard,
         chunk_size: int) -> tuple[list[tuple[str, str]], int, int]:
     """Stream one shard's slice of A x B through the rule evaluator.
 
@@ -285,13 +252,11 @@ def _shard_survivors(
     rows in table order, each crossed with all of B in table order);
     chunk boundaries differ from the global sequential stream, which is
     immaterial because every batch kernel is bit-exact regardless of
-    chunking.  The third return value is the plan engine's per-shard
-    computed-cell delta (-1 under the chunk engine, which keeps no
-    cell accounting).
+    chunking.  The third return value is the shard's computed-cell
+    count.
     """
     table_a, table_b = evaluator.table_a, evaluator.table_b
-    plan_stats = getattr(evaluator, "stats", None)
-    cells_before = plan_stats.cells_computed if plan_stats else 0
+    cells_before = evaluator.stats.cells_computed
     records_b = list(table_b)
     survivors: list[tuple[str, str]] = []
     scanned = 0
@@ -322,9 +287,7 @@ def _shard_survivors(
             if len(chunk_a) >= chunk_size:
                 flush()
     flush()
-    if plan_stats is None:
-        return survivors, scanned, -1
-    return survivors, scanned, plan_stats.cells_computed - cells_before
+    return survivors, scanned, evaluator.stats.cells_computed - cells_before
 
 
 def _prewarm(table: Table, cache: Any, features: list[Any]) -> None:

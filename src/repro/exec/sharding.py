@@ -4,17 +4,16 @@ A *shard* is a contiguous slice of table A's rows; its work unit is the
 slice crossed with all of B.  Planning is pure arithmetic and part of
 the determinism contract: the same ``(n_rows, shard_size)`` always
 yields the same shard list, shards partition ``range(n_rows)`` exactly,
-and no shard is ever empty — the legacy ``apply_rules_parallel``
-ceil-division sharding could in principle enumerate an empty trailing
-job, so :func:`plan_shards` is the single source of truth now.
+and no shard is ever empty.
 
 :class:`ShardStore` persists one ``shard-NNNNN.npz`` file per completed
 shard under a run's ``shards/`` directory, next to a ``plan.json``
 carrying a fingerprint of everything the shard results depend on
-(tables, feature names, rules, shard/chunk geometry).  A resumed run
-with the same fingerprint loads completed shards instead of recomputing
-them; a directory left by a *different* configuration is cleared, since
-its shard files would splice wrong survivors into the merge.
+(tables, feature names, rules, shard/chunk geometry, store format).  A
+resumed run with the same fingerprint loads completed shards instead of
+recomputing them; a directory left by a *different* configuration or
+format is cleared, since its shard files would splice wrong survivors
+or missing fields into the merge.
 """
 
 from __future__ import annotations
@@ -39,6 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 PLAN_FILE = "plan.json"
 """Manifest written into every shard directory (fingerprint + geometry)."""
+
+STORE_FORMAT = 2
+"""Shard-file layout version, part of :func:`shard_fingerprint`.
+
+Version 2 files always carry ``cells_computed`` and ``telemetry``.
+Files from older stores (version 1 had no field in the fingerprint)
+fingerprint differently, so :meth:`ShardStore.prepare` clears them and
+the shards are recomputed."""
 
 
 @dataclass(frozen=True)
@@ -92,11 +99,11 @@ def shard_fingerprint(table_a: "Table", table_b: "Table",
 
     Two runs with the same fingerprint produce byte-identical shard
     files, so a resumed run may load them; anything else (different
-    rules, tables, feature order or geometry) must recompute.
+    rules, tables, feature order, geometry or store format) must
+    recompute.
     """
-    from ..core.blocker import _rule_payload
-
     document = {
+        "format": STORE_FORMAT,
         "table_a": [table_a.name, list(table_a.record_ids)],
         "table_b": [table_b.name, list(table_b.record_ids)],
         "library": list(library.names),
@@ -106,6 +113,20 @@ def shard_fingerprint(table_a: "Table", table_b: "Table",
     }
     canonical = json.dumps(document, sort_keys=True).encode("utf-8")
     return hashlib.sha256(canonical).hexdigest()
+
+
+def _rule_payload(rule: "Rule") -> dict:
+    """A canonical JSON-able description of a rule, for the fingerprint."""
+    return {
+        "predicts_match": rule.predicts_match,
+        "cost": rule.cost,
+        "source": rule.source,
+        "predicates": [
+            (p.feature_index, p.feature_name, p.le, p.threshold,
+             p.nan_satisfies)
+            for p in rule.predicates
+        ],
+    }
 
 
 class ShardStore:
@@ -180,16 +201,15 @@ class ShardStore:
         return completed
 
     def write(self, index: int, survivors: list[tuple[str, str]],
-              pairs_scanned: int, cells_computed: int = -1,
+              pairs_scanned: int, cells_computed: int,
               sections: "dict[str, dict[str, float]] | None" = None
               ) -> None:
         """Persist one completed shard durably.
 
-        ``cells_computed`` is the plan engine's per-shard feature-cell
-        count (-1 for the chunk engine, which computes every needed
-        cell).  Persisting it is what keeps plan metrics convergent
-        across kill/resume: a resumed run re-contributes a loaded
-        shard's cells without recomputing the shard.
+        ``cells_computed`` is the shard's plan feature-cell count.
+        Persisting it is what keeps plan metrics convergent across
+        kill/resume: a resumed run re-contributes a loaded shard's
+        cells without recomputing the shard.
 
         ``sections`` is the worker's captured wall-clock telemetry
         (:mod:`repro.obs.workers`), stored as one canonical-JSON string
@@ -220,13 +240,9 @@ class ShardStore:
         """Load a shard's (survivors, pairs_scanned, cells_computed,
         worker sections).
 
-        ``cells_computed`` is -1 and the sections dict empty for shards
-        written by the chunk engine or by an older version of this
-        store (the fingerprint is engine- and telemetry-independent, so
-        those files remain loadable).  A shard file whose bytes no
-        longer parse raises a typed
-        :class:`~repro.exceptions.DataError` naming the file — never a
-        raw zipfile or numpy traceback.
+        A shard file whose bytes no longer parse, or that lacks a
+        field, raises a typed :class:`~repro.exceptions.DataError`
+        naming the file — never a raw zipfile or numpy traceback.
         """
         from ..obs.workers import decode_sections
 
@@ -236,14 +252,8 @@ class ShardStore:
                 survivors = list(zip(data["a_ids"].tolist(),
                                      data["b_ids"].tolist()))
                 pairs_scanned = int(data["pairs_scanned"][0])
-                if "cells_computed" in data:
-                    cells_computed = int(data["cells_computed"][0])
-                else:
-                    cells_computed = -1
-                if "telemetry" in data:
-                    sections = decode_sections(data["telemetry"][0])
-                else:
-                    sections = {}
+                cells_computed = int(data["cells_computed"][0])
+                sections = decode_sections(data["telemetry"][0])
         except (KeyError, ValueError, EOFError, OSError,
                 zipfile.BadZipFile) as error:
             raise DataError(f"{path}: malformed shard file "

@@ -5,12 +5,8 @@ feature vector; all downstream modules then work on the numeric matrix.
 The matrix is filled column-wise through the batched feature engine
 (:mod:`repro.features.batch`): records are materialized once per side,
 per-record tokenization comes from the shared per-table caches, and each
-feature evaluates the whole pair column in one call.  ``engine="scalar"``
-keeps the original per-pair loop — the parity oracle the batched path is
-tested against — and ``engine="plan"`` fills the columns in the
-attribute-grouped, cheapest-first order of
-:func:`repro.plan.compile_vectorize_plan` (same values in every cell;
-only the evaluation schedule and cache locality differ).
+feature evaluates the whole pair column in one call.  The per-pair
+``Feature.value`` loop is the parity oracle the tests hold it to.
 """
 
 from __future__ import annotations
@@ -29,17 +25,13 @@ from .library import FeatureLibrary
 
 def vectorize_pairs(table_a: Table, table_b: Table, pairs: Sequence[Pair],
                     library: FeatureLibrary,
-                    engine: str = "batched",
                     out: np.ndarray | None = None) -> CandidateSet:
     """Build a :class:`CandidateSet` for ``pairs`` using ``library``.
 
     Records are looked up by id in their respective tables; unknown ids
     raise :class:`repro.exceptions.DataError` via the table lookup.
-    Missing attribute values produce NaN feature entries.  ``engine``
-    selects the evaluation path: ``"batched"`` (default) evaluates each
-    feature column-wise over all pairs at once, ``"scalar"`` keeps the
-    per-pair loop, ``"plan"`` runs the compiled column order; all three
-    produce bit-identical matrices.
+    Missing attribute values produce NaN feature entries.  Each feature
+    is evaluated column-wise over all pairs at once.
 
     ``out`` (optional) is a preallocated ``(len(pairs), len(library))``
     float64 array the matrix is written into — the spill hook: the
@@ -47,8 +39,6 @@ def vectorize_pairs(table_a: Table, table_b: Table, pairs: Sequence[Pair],
     :class:`repro.plan.SpillManager` so the feature matrix never has to
     fit in RAM.
     """
-    if engine not in ("batched", "scalar", "plan"):
-        raise DataError(f"unknown vectorization engine {engine!r}")
     shape = (len(pairs), len(library))
     if out is None:
         matrix = np.empty(shape, dtype=np.float64)
@@ -62,28 +52,12 @@ def vectorize_pairs(table_a: Table, table_b: Table, pairs: Sequence[Pair],
     if not pairs:
         return CandidateSet(list(pairs), matrix, library.names)
 
-    if engine == "scalar":
-        for row, pair in enumerate(pairs):
-            record_a = table_a[pair.a_id]
-            record_b = table_b[pair.b_id]
-            for col, feature in enumerate(library):
-                matrix[row, col] = feature.value(record_a, record_b)
-        return CandidateSet(list(pairs), matrix, library.names)
-
-    if engine == "plan":
-        from ..plan import compile_vectorize_plan
-
-        plan = compile_vectorize_plan(library)
-        columns = [(step.column, step.feature) for step in plan.steps]
-    else:
-        columns = list(enumerate(library))
-
     with profile_section("features.vectorize_pairs"):
         records_a = [table_a[pair.a_id] for pair in pairs]
         records_b = [table_b[pair.b_id] for pair in pairs]
         cache_a = table_cache(table_a)
         cache_b = table_cache(table_b)
-        for col, feature in columns:
+        for col, feature in enumerate(library):
             matrix[:, col] = feature.batch_value(
                 records_a, records_b, cache_a, cache_b
             )

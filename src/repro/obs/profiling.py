@@ -4,7 +4,7 @@ Everything else in :mod:`repro.obs` is simulated-time and bit-identical
 across replays; this module is the one sanctioned exception.  It
 measures *real* wall time (``time.perf_counter``) around the hot
 sections — the batched feature kernels, forest training, the blocker's
-streaming flush — and dumps the totals to ``profile.json``.  Profiles
+shard flush — and dumps the totals to ``profile.json``.  Profiles
 are therefore excluded from traces, spans, metrics and checkpoints, and
 ``profile.json`` carries an explicit ``deterministic: false`` marker so
 no tooling ever diffs it across runs.
@@ -32,8 +32,6 @@ PROFILE_FILE = "profile.json"
 SECTION_NAMES = (
     "blocker.shard_prewarm",
     "blocker.shard_flush",
-    "blocker.stream_flush",
-    "blocker.plan_flush",
     "features.vectorize_pairs",
     "forest.train_forest",
 )

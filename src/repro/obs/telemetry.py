@@ -142,7 +142,8 @@ def build_catalog(registry: MetricsRegistry) -> None:
         "A x B pairs scanned by completed blocking shards.")
     registry.counter(
         "corleone_blocker_parallel_fallback_total",
-        "Parallel/sharded blocking fallbacks to fewer workers, by reason.",
+        "Sharded blocking runs forced in-process because the platform "
+        "cannot fork (reason fork_unavailable).",
         label_names=("reason",))
     registry.counter(
         "corleone_worker_shards_completed_total",

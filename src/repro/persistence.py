@@ -356,12 +356,22 @@ def config_to_dict(config: CorleoneConfig) -> dict[str, Any]:
     return dataclasses.asdict(config)
 
 
+def _without(fields: dict[str, Any], retired: str) -> dict[str, Any]:
+    return {key: value for key, value in fields.items() if key != retired}
+
+
 def config_from_dict(data: dict[str, Any]) -> CorleoneConfig:
-    """Rebuild a configuration saved with :func:`config_to_dict`."""
+    """Rebuild a configuration saved with :func:`config_to_dict`.
+
+    Documents written before the blocking executor collapsed to one
+    path still carry ``blocker.executor`` and ``plan.enabled``; no value
+    of either ever changed a result, so both are dropped and such a run
+    resumes.  Any other unknown key raises :class:`DataError`.
+    """
     try:
         return CorleoneConfig(
             forest=ForestConfig(**data["forest"]),
-            blocker=BlockerConfig(**data["blocker"]),
+            blocker=BlockerConfig(**_without(data["blocker"], "executor")),
             matcher=MatcherConfig(**data["matcher"]),
             estimator=EstimatorConfig(**data["estimator"]),
             locator=LocatorConfig(**data["locator"]),
@@ -369,12 +379,12 @@ def config_from_dict(data: dict[str, Any]) -> CorleoneConfig:
             # Documents written before the gateway/plan existed omit
             # their keys.
             gateway=GatewayConfig(**data.get("gateway", {})),
-            plan=PlanConfig(**data.get("plan", {})),
+            plan=PlanConfig(**_without(data.get("plan", {}), "enabled")),
             max_pipeline_iterations=data["max_pipeline_iterations"],
             budget=data["budget"],
             seed=data["seed"],
         )
-    except (KeyError, TypeError) as error:
+    except (AttributeError, KeyError, TypeError) as error:
         raise DataError(f"malformed config document: {error}") from None
 
 

@@ -3,9 +3,10 @@
 Compiles conjunction-of-predicate blocking rules plus the feature
 library's cost model into a single ordered execution plan (predicate
 pushdown, cheapest-rule-first, shared columns), executes it with fused
-evaluate-then-filter so losing pairs never reach expensive kernels,
-and spills oversized candidate/feature matrices to memory-mapped
-``.npy`` files under the run directory.  See "The plan compiler" in
+evaluate-then-filter so losing pairs never reach expensive kernels —
+the one blocking evaluator, run per shard by :mod:`repro.exec` — and
+spills oversized candidate feature matrices to memory-mapped ``.npy``
+files under the run directory.  See "The plan compiler" in
 docs/architecture.md.
 """
 
@@ -13,12 +14,9 @@ from .compiler import (
     BlockingPlan,
     PredicateStep,
     RuleNode,
-    VectorizePlan,
-    VectorizeStep,
     compile_blocking_plan,
-    compile_vectorize_plan,
 )
-from .executor import PlanExecutor, PlanStats, apply_rules_plan
+from .executor import PlanExecutor, PlanStats
 from .spill import (
     SPILL_DIR_NAME,
     SpillManager,
@@ -34,11 +32,7 @@ __all__ = [
     "RuleNode",
     "SPILL_DIR_NAME",
     "SpillManager",
-    "VectorizePlan",
-    "VectorizeStep",
-    "apply_rules_plan",
     "compile_blocking_plan",
-    "compile_vectorize_plan",
     "open_readonly",
     "spill_path",
 ]

@@ -1,9 +1,8 @@
 """Fused evaluate-then-filter execution of compiled blocking plans.
 
-:class:`PlanExecutor` is the plan-driven successor of the full-matrix
-:class:`~repro.core.blocker.ChunkEvaluator` (which it subclasses, so
-every executor that speaks the evaluator interface — streaming,
-sharded, the fork prewarmer — can run either engine).  Instead of
+:class:`PlanExecutor` is the one rule evaluator behind blocking: the
+sharded executor (:mod:`repro.exec`) feeds it aligned chunks of A x B
+and it turns each chunk into a boolean *blocked* mask.  Instead of
 materializing every needed feature for every pair of a chunk, it walks
 the compiled :class:`~repro.plan.compiler.BlockingPlan` node by node,
 keeping an *active row set* per node and computing each feature column
@@ -16,13 +15,10 @@ lazily, only at rows that are still undecided:
 * a column computed once — for any subset of rows — is remembered, so
   overlapping rules share it instead of recomputing.
 
-Bit-exactness: all batch kernels are element-wise per pair, blocking
-is a monotone OR of AND-rules, and the NaN-never-blocks guard of the
-chunk evaluator is a provable no-op (``Predicate.evaluate_column``
-returns False on NaN absent ``nan_satisfies``, so no rule outside the
-``nan_can_block`` case can block an all-missing row) — therefore the
-survivor set is bit-identical to :func:`apply_rules_streaming` for any
-rule order and any chunk geometry.
+Bit-exactness: all batch kernels are element-wise per pair and blocking
+is a monotone OR of AND-rules, so the survivor set equals the per-pair
+oracle (``Feature.value`` plus ``Rule.applies``) for any rule order and
+any chunk geometry.
 """
 
 from __future__ import annotations
@@ -31,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.blocker import _STREAM_CHUNK, ChunkEvaluator
-from ..data.pairs import Pair
-from ..data.sampling import iter_cartesian
 from ..data.table import Table
+from ..features.batch import table_cache
 from ..features.library import FeatureLibrary
 from ..obs.profiling import profile_section
 from ..rules.rule import Rule
@@ -61,7 +55,7 @@ class PlanStats:
 
     @property
     def cells_budget(self) -> int:
-        """Cells the full-matrix chunk evaluator would have computed."""
+        """Cells a full-matrix evaluation would have computed."""
         return self.pairs * self.needed_width
 
     @property
@@ -84,34 +78,44 @@ class PlanStats:
         }
 
 
-class PlanExecutor(ChunkEvaluator):
-    """A ChunkEvaluator that runs a compiled plan over each chunk.
+class PlanExecutor:
+    """Evaluates blocking rules over aligned chunks of record pairs.
 
-    Construction compiles the plan from the rule set and cost model;
-    the inherited surface (``needed``/``needed_features``/``cache_a``/
-    ``cache_b``/``survivors``) is unchanged, so the sharded executor's
-    fork prewarm and shard streaming work against it untouched.
+    Construction compiles the plan from the rule set and the library's
+    cost model, and binds the per-table prepared-column caches the
+    sharded executor pre-warms before it forks.
+
+    Missing-value semantics (the blocking NaN contract): a missing
+    attribute value surfaces as ``np.nan`` in a feature column, and a
+    predicate comparison against NaN evaluates **falsy** unless the
+    predicate was extracted with ``nan_satisfies`` — so *NaN never
+    blocks*: a pair with missing evidence survives to the matcher
+    rather than being silently discarded, matching the scalar
+    ``Feature.value`` path.  Only a rule whose predicates all tolerate
+    NaN can block a fully-missing pair.
     """
 
     def __init__(self, table_a: Table, table_b: Table,
                  rules: list[Rule], library: FeatureLibrary,
                  stats: PlanStats | None = None) -> None:
-        super().__init__(table_a, table_b, rules, library)
+        self.table_a = table_a
+        self.table_b = table_b
         self.plan: BlockingPlan = compile_blocking_plan(rules, library)
-        self._features_by_index = {
-            index: feature
-            for index, feature in zip(self.needed, self.needed_features)
-        }
+        self.needed = list(self.plan.needed)
+        self.needed_features = [library.features[i] for i in self.needed]
+        self._features_by_index = dict(zip(self.needed,
+                                           self.needed_features))
+        self.cache_a = table_cache(table_a)
+        self.cache_b = table_cache(table_b)
         self.stats = stats if stats is not None else PlanStats()
         self.stats.needed_width = len(self.needed)
 
     def blocked_mask(self, records_a: list, records_b: list) -> np.ndarray:
-        """Plan-ordered, row-pruned equivalent of the chunk evaluator.
+        """Boolean mask: True where some rule blocks the aligned pair.
 
-        The explicit all-missing guard of the base class is skipped:
-        with ``nan_can_block`` False it is a provable no-op (see module
-        docstring), and when some rule *can* block on NaN the guard
-        never applied in the base class either.
+        ``Predicate.evaluate_column`` is False on NaN absent
+        ``nan_satisfies``, which is what makes NaN never block (see the
+        class docstring); no separate all-missing guard is needed.
         """
         n = len(records_a)
         blocked = np.zeros(n, dtype=bool)
@@ -165,34 +169,3 @@ class PlanExecutor(ChunkEvaluator):
             have[index][pending] = True
             self.stats.cells_computed += int(pending.size)
         return column
-
-
-def apply_rules_plan(table_a: Table, table_b: Table, rules: list[Rule],
-                     library: FeatureLibrary,
-                     chunk_size: int = _STREAM_CHUNK,
-                     stats: PlanStats | None = None) -> list[Pair]:
-    """Apply blocking rules over A x B through the plan executor.
-
-    The plan-engine twin of
-    :func:`~repro.core.blocker.apply_rules_streaming`: same A x B
-    stream order, same chunking, bit-identical survivors — only the
-    per-chunk evaluation strategy differs.  ``stats`` (optional)
-    accumulates the deterministic cell-count accounting.
-    """
-    evaluator = PlanExecutor(table_a, table_b, rules, library, stats=stats)
-    survivors: list[Pair] = []
-    chunk: list[Pair] = []
-
-    def flush() -> None:
-        if not chunk:
-            return
-        with profile_section("blocker.plan_flush"):
-            survivors.extend(evaluator.survivors(chunk))
-            chunk.clear()
-
-    for pair in iter_cartesian(table_a, table_b):
-        chunk.append(pair)
-        if len(chunk) >= chunk_size:
-            flush()
-    flush()
-    return survivors

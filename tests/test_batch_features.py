@@ -37,6 +37,8 @@ from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
 from repro.synth.songs import generate_songs
 
+from .oracle import scalar_matrix
+
 _GENERATORS = {
     "restaurants": generate_restaurants,
     "citations": generate_citations,
@@ -60,10 +62,8 @@ def _random_pairs(table_a: Table, table_b: Table, count: int,
 
 
 def _assert_parity(table_a: Table, table_b: Table, pairs, library) -> None:
-    scalar = vectorize_pairs(table_a, table_b, pairs, library,
-                             engine="scalar").features
-    batched = vectorize_pairs(table_a, table_b, pairs, library,
-                              engine="batched").features
+    scalar = scalar_matrix(table_a, table_b, pairs, library)
+    batched = vectorize_pairs(table_a, table_b, pairs, library).features
     assert np.array_equal(scalar, batched, equal_nan=True)
 
 

@@ -10,11 +10,19 @@ from repro.core.blocker import Blocker, apply_rules_streaming
 from repro.crowd.service import LabelingService
 from repro.crowd.simulated import PerfectCrowd
 from repro.data.sampling import cartesian_size
+from repro.engine.events import (
+    EVENT_BLOCKER_FALLBACK,
+    EVENT_SHARD_COMPLETED,
+    EventBus,
+)
+from repro.exec import apply_rules_sharded
 from repro.features.library import build_feature_library
 from repro.metrics import blocking_recall
 from repro.rules.predicates import Predicate
 from repro.rules.rule import Rule
 from repro.synth.restaurants import generate_restaurants
+
+from .oracle import scalar_survivors
 
 
 @pytest.fixture
@@ -88,7 +96,7 @@ class TestBlockingQuality:
 
 class TestStreamingApplication:
     def test_matches_vectorized_application(self, blocking_setup):
-        """Streaming rule application must agree with full vectorization."""
+        """Streaming rule application must agree with the per-pair oracle."""
         dataset, _, _, library, _ = blocking_setup
         name_col = library.names.index("name_jaro_winkler")
         rule = Rule(
@@ -99,17 +107,8 @@ class TestStreamingApplication:
             dataset.table_a, dataset.table_b, [rule], library,
             chunk_size=700,
         )
-        # Check against direct evaluation on a sample of pairs.
-        from repro.features.vectorize import vectorize_pairs
-        from repro.data.sampling import iter_cartesian
-        all_pairs = list(iter_cartesian(dataset.table_a, dataset.table_b))
-        sample = all_pairs[::97]
-        cs = vectorize_pairs(dataset.table_a, dataset.table_b, sample,
-                             library)
-        blocked = rule.applies(cs.features)
-        survivor_set = set(survivors)
-        for pair, is_blocked in zip(sample, blocked):
-            assert (pair in survivor_set) == (not is_blocked)
+        assert survivors == scalar_survivors(
+            dataset.table_a, dataset.table_b, [rule], library)
 
     def test_no_rules_keeps_everything(self, blocking_setup):
         dataset, _, _, library, _ = blocking_setup
@@ -121,32 +120,51 @@ class TestStreamingApplication:
         )
 
 
+def _two_rules(library) -> list[Rule]:
+    name_col = library.names.index("name_jaro_winkler")
+    phone_col = library.names.index("phone_jaro_winkler")
+    return [
+        Rule([Predicate(name_col, "name_jaro_winkler", True, 0.5)],
+             predicts_match=False),
+        Rule([Predicate(phone_col, "phone_jaro_winkler", True, 0.3)],
+             predicts_match=False),
+    ]
+
+
 class TestParallelApplication:
     def test_parallel_matches_sequential(self, blocking_setup):
-        from repro.core.blocker import apply_rules_parallel
         dataset, _, _, library, _ = blocking_setup
-        name_col = library.names.index("name_jaro_winkler")
-        phone_col = library.names.index("phone_jaro_winkler")
-        rules = [
-            Rule([Predicate(name_col, "name_jaro_winkler", True, 0.5)],
-                 predicts_match=False),
-            Rule([Predicate(phone_col, "phone_jaro_winkler", True, 0.3)],
-                 predicts_match=False),
-        ]
-        sequential = apply_rules_streaming(
-            dataset.table_a, dataset.table_b, rules, library
-        )
-        parallel = apply_rules_parallel(
+        rules = _two_rules(library)
+        parallel = apply_rules_sharded(
             dataset.table_a, dataset.table_b, rules, library, n_workers=3
         )
-        assert parallel == sequential
+        assert parallel == scalar_survivors(
+            dataset.table_a, dataset.table_b, rules, library)
+
+    def test_single_worker_is_sequential(self, blocking_setup,
+                                         monkeypatch):
+        """One worker runs every shard in-process: nothing forks."""
+        import multiprocessing
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("n_workers=1 must not fork")
+
+        dataset, _, _, library, _ = blocking_setup
+        rules = _two_rules(library)
+        golden = scalar_survivors(dataset.table_a, dataset.table_b,
+                                  rules, library)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        survivors = apply_rules_sharded(
+            dataset.table_a, dataset.table_b, rules, library,
+            n_workers=1, shard_size=7,
+        )
+        assert survivors == golden
 
     def test_tfidf_rules_fall_back_to_sequential(self, blocking_setup):
-        """Corpus-dependent features must not be sharded; the call still
-        succeeds and agrees with the sequential result."""
-        from repro.core.blocker import apply_rules_parallel
+        """Corpus-dependent (TF/IDF) rules no longer need a sequential
+        fallback: sharded across workers they agree with the sequential
+        streaming result."""
         from repro.data.table import AttrType, Record, Schema, Table
-        from repro.features.library import build_feature_library
         schema = Schema.from_pairs([("desc", AttrType.TEXT)])
         table_a = Table("a", schema, [
             Record(f"a{i}", {"desc": f"alpha beta gamma {i}"})
@@ -164,104 +182,28 @@ class TestParallelApplication:
         )
         sequential = apply_rules_streaming(table_a, table_b, [rule],
                                            library)
-        parallel = apply_rules_parallel(table_a, table_b, [rule],
-                                        library, n_workers=4)
+        parallel = apply_rules_sharded(table_a, table_b, [rule],
+                                       library, n_workers=4)
         assert parallel == sequential
-
-    def test_mismatched_worker_library_falls_back(self, blocking_setup):
-        """Regression: rules extracted against one feature order used to
-        be applied against a worker's differently-ordered rebuilt
-        library, silently scoring the wrong features.  The mismatch is
-        now detected and the call warns and falls back to the (correct)
-        sequential path."""
-        from repro.core.blocker import apply_rules_parallel
-        from repro.features.library import FeatureLibrary
-        dataset, _, _, library, _ = blocking_setup
-        shuffled = FeatureLibrary(list(library.features)[::-1])
-        name_col = shuffled.names.index("name_jaro_winkler")
-        rules = [
-            Rule([Predicate(name_col, "name_jaro_winkler", True, 0.5)],
-                 predicts_match=False),
-        ]
-        sequential = apply_rules_streaming(
-            dataset.table_a, dataset.table_b, rules, shuffled
-        )
-        with pytest.warns(RuntimeWarning,
-                          match="parallel blocking disabled"):
-            survivors = apply_rules_parallel(
-                dataset.table_a, dataset.table_b, rules, shuffled,
-                n_workers=3,
-            )
-        assert survivors == sequential
-
-    def test_single_worker_is_sequential(self, blocking_setup):
-        from repro.core.blocker import apply_rules_parallel
-        dataset, _, _, library, _ = blocking_setup
-        survivors = apply_rules_parallel(
-            dataset.table_a, dataset.table_b, [], library, n_workers=1
-        )
-        assert len(survivors) == cartesian_size(
-            dataset.table_a, dataset.table_b
-        )
 
 
 class TestFallbackReporting:
-    """Lost parallelism is reported through ``on_fallback``, not hidden."""
+    """Lost parallelism is reported on the bus, not hidden."""
 
-    def test_corpus_dependent_fallback_is_reported(self):
-        from repro.core.blocker import apply_rules_parallel
-        from repro.data.table import AttrType, Record, Schema, Table
-        schema = Schema.from_pairs([("desc", AttrType.TEXT)])
-        table_a = Table("a", schema, [
-            Record(f"a{i}", {"desc": f"alpha beta gamma {i}"})
-            for i in range(12)
-        ])
-        table_b = Table("b", schema, [
-            Record(f"b{i}", {"desc": f"alpha beta delta {i}"})
-            for i in range(12)
-        ])
-        library = build_feature_library(table_a, table_b)
-        cosine_col = library.names.index("desc_cosine_tfidf")
-        rule = Rule(
-            [Predicate(cosine_col, "desc_cosine_tfidf", True, 0.2)],
-            predicts_match=False,
-        )
-        fallbacks = []
-        apply_rules_parallel(
-            table_a, table_b, [rule], library, n_workers=4,
-            on_fallback=lambda reason, detail: fallbacks.append(reason),
-        )
-        assert fallbacks == ["corpus_dependent"]
-
-    def test_library_mismatch_fallback_is_reported(self, blocking_setup):
-        from repro.core.blocker import apply_rules_parallel
-        from repro.features.library import FeatureLibrary
+    def test_deliberate_sizing_is_not_reported(self, blocking_setup,
+                                               monkeypatch):
+        """n_workers=1 is a choice, not lost parallelism, even where
+        the platform cannot fork."""
+        from repro.exec import executor as executor_module
         dataset, _, _, library, _ = blocking_setup
-        shuffled = FeatureLibrary(list(library.features)[::-1])
-        name_col = shuffled.names.index("name_jaro_winkler")
-        rules = [
-            Rule([Predicate(name_col, "name_jaro_winkler", True, 0.5)],
-                 predicts_match=False),
-        ]
-        fallbacks = []
-        with pytest.warns(RuntimeWarning,
-                          match="parallel blocking disabled"):
-            apply_rules_parallel(
-                dataset.table_a, dataset.table_b, rules, shuffled,
-                n_workers=3,
-                on_fallback=lambda reason, detail: fallbacks.append(
-                    (reason, detail)),
-            )
-        assert [reason for reason, _ in fallbacks] == ["library_mismatch"]
-        assert "expected" in fallbacks[0][1]
-
-    def test_deliberate_sizing_is_not_reported(self, blocking_setup):
-        """n_workers=1 / tiny A are choices, not lost parallelism."""
-        from repro.core.blocker import apply_rules_parallel
-        dataset, _, _, library, _ = blocking_setup
-        fallbacks = []
-        apply_rules_parallel(
-            dataset.table_a, dataset.table_b, [], library, n_workers=1,
-            on_fallback=lambda reason, detail: fallbacks.append(reason),
+        monkeypatch.setattr(executor_module, "_fork_available",
+                            lambda: False)
+        bus = EventBus()
+        names = []
+        bus.subscribe(lambda e: names.append(e.name))
+        apply_rules_sharded(
+            dataset.table_a, dataset.table_b, _two_rules(library),
+            library, n_workers=1, bus=bus,
         )
-        assert fallbacks == []
+        assert EVENT_SHARD_COMPLETED in names
+        assert EVENT_BLOCKER_FALLBACK not in names

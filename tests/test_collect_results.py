@@ -183,9 +183,9 @@ def test_collect_shard_scaling_curve(collector):
     for entry in payload["workers"].values():
         assert entry["bit_identical"]
         assert entry["seconds"] > 0
-        assert entry["speedup_vs_streaming"] > 0
+        assert entry["speedup_vs_one_worker"] > 0
     assert payload["merge_determinism_ok"]
     assert json.loads(output.read_text()) == payload
     table = (tmp_path / "results" / "shard_scaling.txt").read_text()
     assert "workers" in table and "bit-identical" in table
-    assert "stream" in table
+    assert "(baseline)" in table

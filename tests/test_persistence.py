@@ -201,3 +201,25 @@ class TestCandidateRoundTrip:
         np.savez(path, wrong_key=np.zeros(3))
         with pytest.raises(DataError):
             load_candidates(path)
+
+
+class TestConfigDocument:
+    def test_retired_executor_and_plan_keys_are_dropped(self):
+        """A run.json written before blocking had one path still loads."""
+        from repro.config import CorleoneConfig
+        from repro.persistence import config_from_dict, config_to_dict
+        config = CorleoneConfig(seed=5)
+        document = config_to_dict(config)
+        document["blocker"]["executor"] = "parallel"
+        document["plan"]["enabled"] = True
+        assert config_from_dict(document) == config
+
+    def test_other_unknown_keys_fail_typed(self):
+        from repro.config import CorleoneConfig
+        from repro.persistence import config_from_dict, config_to_dict
+        for section, key in (("blocker", "engine"), ("plan", "executor"),
+                             ("matcher", "enabled")):
+            document = config_to_dict(CorleoneConfig())
+            document[section][key] = 1
+            with pytest.raises(DataError, match=key):
+                config_from_dict(document)

@@ -2,13 +2,12 @@
 
 Four layers of coverage: property tests over the compiler's greedy
 cheapest-marginal-first ordering and predicate pushdown; a bit-exact
-parity sweep (plan executor vs streaming, under rule permutations,
-chunk geometries and the sharded executor's plan engine) on all three
-synthetic datasets; the spill manager + external-candidates
-persistence contract; and engine-level integration — a plan-enabled,
-spill-backed hands-off run must reproduce the plan-disabled report
-byte for byte, including through kill/resume at spill-referencing
-checkpoints.
+parity sweep (the plan-driven blocking path vs the per-pair scalar
+oracle, under rule permutations, chunk geometries and worker counts)
+on all three synthetic datasets; the spill manager + external-candidates
+persistence contract; and engine-level integration — a spill-backed
+hands-off run must reproduce the in-memory report byte for byte,
+including through kill/resume at spill-referencing checkpoints.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ from repro.persistence import load_candidates, save_candidates
 from repro.plan import (
     PlanStats,
     SpillManager,
-    apply_rules_plan,
     compile_blocking_plan,
-    compile_vectorize_plan,
     open_readonly,
     spill_path,
 )
@@ -48,6 +45,8 @@ from repro.rules.rule import Rule
 from repro.synth.citations import generate_citations
 from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
+
+from .oracle import scalar_matrix, scalar_survivors
 
 _DATASETS = {
     "restaurants": lambda: generate_restaurants(
@@ -192,33 +191,6 @@ class TestCompileBlockingPlan:
         assert "[shared]" in plan.describe()
 
 
-class TestCompileVectorizePlan:
-    def test_covers_every_column_exactly_once(self):
-        dataset = _DATASETS["restaurants"]()
-        library = build_feature_library(dataset.table_a, dataset.table_b)
-        plan = compile_vectorize_plan(library)
-        assert sorted(s.column for s in plan.steps) == \
-            list(range(len(library)))
-
-    def test_grouped_by_attribute_ascending_cost(self):
-        dataset = _DATASETS["restaurants"]()
-        library = build_feature_library(dataset.table_a, dataset.table_b)
-        plan = compile_vectorize_plan(library)
-        seen_attributes: list[str] = []
-        previous = None
-        for step in plan.steps:
-            attribute = step.feature.attribute
-            if attribute not in seen_attributes:
-                seen_attributes.append(attribute)
-                previous = None
-            else:
-                assert attribute == seen_attributes[-1], \
-                    "attribute groups interleaved"
-                assert previous is not None
-                assert step.feature.cost >= previous
-            previous = step.feature.cost
-
-
 # ----------------------------------------------------------------------
 # Bit-exact parity sweep
 # ----------------------------------------------------------------------
@@ -228,40 +200,40 @@ def parity_setup(request):
     dataset = _DATASETS[request.param]()
     library = build_feature_library(dataset.table_a, dataset.table_b)
     rules = _blocking_rules(library)
-    golden = apply_rules_streaming(dataset.table_a, dataset.table_b,
-                                   rules, library)
+    golden = scalar_survivors(dataset.table_a, dataset.table_b, rules,
+                              library)
     assert 0 < len(golden) < len(dataset.table_a) * len(dataset.table_b)
     return dataset, library, rules, golden
 
 
 class TestPlanParity:
-    """The plan engine must return the identical candidate list."""
+    """The plan-driven path must return the oracle's candidate list."""
 
     def test_plan_matches_streaming(self, parity_setup):
         dataset, library, rules, golden = parity_setup
-        assert apply_rules_plan(dataset.table_a, dataset.table_b,
-                                rules, library) == golden
+        assert apply_rules_streaming(dataset.table_a, dataset.table_b,
+                                     rules, library) == golden
 
     def test_rule_order_never_changes_survivors(self, parity_setup):
         dataset, library, rules, golden = parity_setup
         for permuted in (list(reversed(rules)),
                          rules[1:] + rules[:1]):
-            assert apply_rules_plan(dataset.table_a, dataset.table_b,
-                                    permuted, library) == golden
+            assert apply_rules_streaming(dataset.table_a, dataset.table_b,
+                                         permuted, library) == golden
 
     def test_chunk_geometry_invariant(self, parity_setup):
         dataset, library, rules, golden = parity_setup
         for chunk_size in (7, 64):
-            assert apply_rules_plan(dataset.table_a, dataset.table_b,
-                                    rules, library,
-                                    chunk_size=chunk_size) == golden
+            assert apply_rules_streaming(dataset.table_a, dataset.table_b,
+                                         rules, library,
+                                         chunk_size=chunk_size) == golden
 
     def test_sharded_plan_engine_matches_streaming(self, parity_setup):
         dataset, library, rules, golden = parity_setup
         for n_workers in (1, 3):
             assert apply_rules_sharded(
                 dataset.table_a, dataset.table_b, rules, library,
-                n_workers=n_workers, engine="plan") == golden
+                n_workers=n_workers) == golden
 
     def test_sharded_stats_are_worker_count_invariant(self, parity_setup):
         dataset, library, rules, _ = parity_setup
@@ -270,7 +242,7 @@ class TestPlanParity:
             stats = PlanStats()
             apply_rules_sharded(dataset.table_a, dataset.table_b, rules,
                                 library, n_workers=n_workers,
-                                engine="plan", stats=stats)
+                                stats=stats)
             snapshots.append(stats.as_dict())
         assert snapshots[0] == snapshots[1]
         assert snapshots[0]["pairs"] > 0
@@ -280,25 +252,26 @@ class TestPlanParity:
     def test_plan_prunes_cells(self, parity_setup):
         dataset, library, rules, _ = parity_setup
         stats = PlanStats()
-        apply_rules_plan(dataset.table_a, dataset.table_b, rules,
-                         library, stats=stats)
+        apply_rules_sharded(dataset.table_a, dataset.table_b, rules,
+                            library, stats=stats)
         assert stats.cells_computed < stats.cells_budget
         assert stats.cells_pruned == \
             stats.cells_budget - stats.cells_computed
 
     def test_vectorize_plan_engine_bit_identical(self, parity_setup):
+        """Vectorizing the plan's survivors matches the scalar oracle."""
         dataset, library, _, golden = parity_setup
         batched = vectorize_pairs(dataset.table_a, dataset.table_b,
                                   golden, library)
-        planned = vectorize_pairs(dataset.table_a, dataset.table_b,
-                                  golden, library, engine="plan")
-        assert batched.features.tobytes() == planned.features.tobytes()
+        oracle = scalar_matrix(dataset.table_a, dataset.table_b, golden,
+                               library)
+        assert batched.features.tobytes() == oracle.tobytes()
 
     def test_vectorize_out_buffer_is_filled_in_place(self, parity_setup):
         dataset, library, _, golden = parity_setup
         out = np.empty((len(golden), len(library)), dtype=np.float64)
         result = vectorize_pairs(dataset.table_a, dataset.table_b,
-                                 golden, library, engine="plan", out=out)
+                                 golden, library, out=out)
         assert result.features.base is out or result.features is out
 
     def test_vectorize_out_shape_mismatch_rejected(self, parity_setup):
@@ -315,10 +288,12 @@ class TestCacheMissAccounting:
         library = build_feature_library(dataset.table_a, dataset.table_b)
         rules = _blocking_rules(library)
         reset_cache_stats()
-        apply_rules_plan(dataset.table_a, dataset.table_b, rules, library)
+        apply_rules_streaming(dataset.table_a, dataset.table_b, rules,
+                              library)
         cold = dict(cache_stats())
         assert cold, "cold pass recorded no cache misses"
-        apply_rules_plan(dataset.table_a, dataset.table_b, rules, library)
+        apply_rules_streaming(dataset.table_a, dataset.table_b, rules,
+                              library)
         assert dict(cache_stats()) == cold
 
     def test_library_rebuild_shows_tfidf_table_waste(self):
@@ -448,8 +423,7 @@ class TestEngineIntegration:
         return CorleoneConfig(
             forest=ForestConfig(n_trees=5),
             blocker=BlockerConfig(t_b=1500, top_k_rules=10,
-                                  max_labels_per_rule=60,
-                                  executor="sharded", n_workers=2),
+                                  max_labels_per_rule=60, n_workers=2),
             matcher=MatcherConfig(batch_size=10, pool_size=40,
                                   n_converged=8, n_degrade=6,
                                   max_iterations=12),
@@ -477,21 +451,14 @@ class TestEngineIntegration:
         golden = self._run(self._config(PlanConfig()), dataset, crowd)
         golden_report = persistence.result_report(golden)
 
-        # The uninterrupted plan+spill run every resume test compares
+        # The uninterrupted spill run every resume test compares
         # against (report AND checkpointed metrics must both match).
         run_dir = tmp_path_factory.mktemp("plan") / "golden_run"
-        spill_plan = PlanConfig(enabled=True, spill_threshold_mb=0.001)
+        spill_plan = PlanConfig(spill_threshold_mb=0.001)
         result = self._run(self._config(spill_plan), dataset, crowd,
                            run_dir=run_dir)
         assert persistence.result_report(result) == golden_report
         return dataset, crowd, golden_report, run_dir, spill_plan
-
-    def test_plan_engine_reproduces_plan_off_report(self, engine_setup):
-        from repro import persistence
-        dataset, crowd, golden_report, _, _ = engine_setup
-        plan_only = PlanConfig(enabled=True)
-        result = self._run(self._config(plan_only), dataset, crowd)
-        assert persistence.result_report(result) == golden_report
 
     def test_spill_run_checkpoints_reference_the_spill_file(
             self, engine_setup):

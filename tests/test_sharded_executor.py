@@ -1,12 +1,13 @@
 """The sharded multi-core A x B executor (repro.exec).
 
 Covers the determinism contract from every angle: a parity sweep
-asserting that streaming, legacy-parallel, sharded in-process and
-sharded multi-worker execution return *identical* candidate lists (same
-pairs, same order) on all three synthetic datasets; shard planning
-invariants; kill/resume mid-shard at the executor level and mid-block
-at the engine level; the NaN-never-blocks missing-value guard; and the
-fallback events that replace the old silent degradations.
+asserting that the executor, in-process and with forked workers, at
+several shard sizes, returns the *identical* candidate list (same pairs,
+same order) as the per-pair scalar oracle on all three synthetic
+datasets; shard planning invariants; kill/resume mid-shard at the
+executor level and mid-block at the engine level; shard stores of an
+older format; the NaN-never-blocks missing-value contract; and the
+fork-unavailable fallback event.
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ import pytest
 
 from repro.config import BlockerConfig, CorleoneConfig, ForestConfig, \
     MatcherConfig
-from repro.core.blocker import (
-    ChunkEvaluator,
-    apply_rules_parallel,
-    apply_rules_streaming,
-)
+from repro.core.blocker import apply_rules_streaming
 from repro.data.table import AttrType, Record, Schema, Table
 from repro.engine.events import (
     EVENT_BLOCKER_FALLBACK,
@@ -36,6 +33,8 @@ from repro.rules.rule import Rule
 from repro.synth.citations import generate_citations
 from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
+
+from .oracle import scalar_survivors
 
 _DATASETS = {
     "restaurants": lambda: generate_restaurants(
@@ -73,36 +72,43 @@ def parity_setup(request):
     dataset = _DATASETS[request.param]()
     library = build_feature_library(dataset.table_a, dataset.table_b)
     rules = _blocking_rules(library)
-    golden = apply_rules_streaming(dataset.table_a, dataset.table_b,
-                                   rules, library)
+    golden = scalar_survivors(dataset.table_a, dataset.table_b, rules,
+                              library)
     assert 0 < len(golden) < len(dataset.table_a) * len(dataset.table_b)
     return dataset, library, rules, golden
 
 
 class TestParitySweep:
-    """All executors must return the identical candidate list."""
+    """The executor must return the scalar oracle's candidate list for
+    every worker count and shard size (the oracle streams A x B one
+    pair at a time)."""
 
     def test_parallel_matches_streaming(self, parity_setup):
+        """An odd pool size: three forked workers."""
         dataset, library, rules, golden = parity_setup
-        survivors = apply_rules_parallel(
+        survivors = apply_rules_sharded(
             dataset.table_a, dataset.table_b, rules, library, n_workers=3)
         assert survivors == golden
 
     def test_sharded_in_process_matches_streaming(self, parity_setup):
         dataset, library, rules, golden = parity_setup
-        survivors = apply_rules_sharded(
-            dataset.table_a, dataset.table_b, rules, library, n_workers=1)
-        assert survivors == golden
+        for shard_size in (0, 7):
+            survivors = apply_rules_sharded(
+                dataset.table_a, dataset.table_b, rules, library,
+                n_workers=1, shard_size=shard_size)
+            assert survivors == golden, f"shard_size={shard_size} diverged"
 
     def test_sharded_pool_matches_streaming(self, parity_setup):
         dataset, library, rules, golden = parity_setup
-        survivors = apply_rules_sharded(
-            dataset.table_a, dataset.table_b, rules, library, n_workers=3)
-        assert survivors == golden
+        for shard_size in (0, 7):
+            survivors = apply_rules_sharded(
+                dataset.table_a, dataset.table_b, rules, library,
+                n_workers=2, shard_size=shard_size)
+            assert survivors == golden, f"shard_size={shard_size} diverged"
 
     def test_sharded_is_shard_size_invariant(self, parity_setup):
         dataset, library, rules, golden = parity_setup
-        for shard_size in (1, 7, len(dataset.table_a) + 5):
+        for shard_size in (1, len(dataset.table_a) + 5):
             survivors = apply_rules_sharded(
                 dataset.table_a, dataset.table_b, rules, library,
                 n_workers=2, shard_size=shard_size)
@@ -123,7 +129,7 @@ class TestParitySweep:
         index = library.names.index("desc_cosine_tfidf")
         rule = Rule([Predicate(index, "desc_cosine_tfidf", True, 0.2)],
                     predicts_match=False)
-        golden = apply_rules_streaming(table_a, table_b, [rule], library)
+        golden = scalar_survivors(table_a, table_b, [rule], library)
         survivors = apply_rules_sharded(table_a, table_b, [rule], library,
                                         n_workers=4)
         assert survivors == golden
@@ -221,6 +227,48 @@ class TestKillResume:
         assert survivors == apply_rules_streaming(
             dataset.table_a, dataset.table_b, rules[:1], library)
 
+    def test_older_store_format_is_recomputed(self, tmp_path):
+        """Shard files from a store written before the format version
+        entered the fingerprint (the old chunk engine stored -1 cells
+        and no telemetry) are cleared, never loaded."""
+        import hashlib
+        import json
+
+        from repro.core.blocker import _STREAM_CHUNK
+        from repro.exec.sharding import _rule_payload
+        dataset, library, rules, golden = self._setup()
+        table_a, table_b = dataset.table_a, dataset.table_b
+        legacy = {
+            "table_a": [table_a.name, list(table_a.record_ids)],
+            "table_b": [table_b.name, list(table_b.record_ids)],
+            "library": list(library.names),
+            "rules": [_rule_payload(rule) for rule in rules],
+            "shard_size": 9,
+            "chunk_size": _STREAM_CHUNK,
+        }
+        fingerprint = hashlib.sha256(
+            json.dumps(legacy, sort_keys=True).encode("utf-8")).hexdigest()
+        n_shards = len(plan_shards(len(table_a), 9))
+        shard_dir = tmp_path / "shards"
+        shard_dir.mkdir()
+        (shard_dir / "plan.json").write_text(json.dumps(
+            {"fingerprint": fingerprint, "n_shards": n_shards}))
+        for index in range(n_shards):
+            np.savez(shard_dir / f"shard-{index:05d}.npz",
+                     a_ids=np.array([], dtype=np.str_),
+                     b_ids=np.array([], dtype=np.str_),
+                     pairs_scanned=np.array([0], dtype=np.int64),
+                     cells_computed=np.array([-1], dtype=np.int64))
+        bus = EventBus()
+        cached = []
+        bus.subscribe(lambda e: cached.append(e)
+                      if e.payload.get("cached") else None)
+        survivors = apply_rules_sharded(table_a, table_b, rules, library,
+                                        shard_size=9, shard_dir=shard_dir,
+                                        bus=bus)
+        assert survivors == golden
+        assert cached == []
+
     def test_resume_reemits_shard_events_for_loaded_shards(self, tmp_path):
         """Loaded shards re-emit events so resumed metrics converge."""
         dataset, library, rules, _ = self._setup()
@@ -275,8 +323,6 @@ class TestMissingValueSemantics:
         rule = Rule([Predicate(index, "name_jaro_winkler", True, 0.99,
                                nan_satisfies=True)],
                     predicts_match=False)
-        evaluator = ChunkEvaluator(table_a, table_b, [rule], library)
-        assert evaluator.nan_can_block
         survivors = apply_rules_streaming(table_a, table_b, [rule],
                                           library)
         assert survivors == []  # everything blocked, missing included
@@ -404,12 +450,12 @@ class TestWorkerTelemetry:
 
 
 class TestEngineIntegration:
-    def _config(self, executor: str) -> CorleoneConfig:
+    def _config(self, n_workers: int) -> CorleoneConfig:
         return CorleoneConfig(
             forest=ForestConfig(n_trees=5),
             blocker=BlockerConfig(t_b=1500, top_k_rules=10,
                                   max_labels_per_rule=60,
-                                  executor=executor, n_workers=2),
+                                  n_workers=n_workers),
             matcher=MatcherConfig(batch_size=10, pool_size=40,
                                   n_converged=8, n_degrade=6,
                                   max_iterations=12),
@@ -433,14 +479,14 @@ class TestEngineIntegration:
             return PerfectCrowd(dataset.matches,
                                 rng=np.random.default_rng(11))
 
-        golden = self._run(self._config("streaming"), dataset, crowd)
+        golden = self._run(self._config(1), dataset, crowd)
         return dataset, crowd, persistence.result_report(golden)
 
     def test_sharded_executor_reaches_streaming_golden(self, engine_setup):
-        """Executor choice must not change the pipeline result at all."""
+        """Worker count must not change the pipeline result at all."""
         from repro import persistence
         dataset, crowd, golden_report = engine_setup
-        result = self._run(self._config("sharded"), dataset, crowd)
+        result = self._run(self._config(2), dataset, crowd)
         assert persistence.result_report(result) == golden_report
 
     def test_kill_mid_blocking_resumes_bit_identically(
@@ -451,7 +497,7 @@ class TestEngineIntegration:
         from repro import persistence
         from repro.core.pipeline import Corleone
         dataset, crowd, golden_report = engine_setup
-        config = self._config("sharded")
+        config = self._config(2)
         run_dir = tmp_path / "run"
 
         class _Killed(Exception):

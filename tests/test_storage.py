@@ -540,7 +540,8 @@ class TestTornWriteProperties:
             store = ShardStore(Path(root) / "shards", fingerprint="f")
             store.prepare(n_shards=1)
             survivors = [(f"a{v}", f"b{v}") for v in values]
-            store.write(0, survivors, pairs_scanned=len(values))
+            store.write(0, survivors, pairs_scanned=len(values),
+                        cells_computed=0)
             path = store.shard_path(0)
             full = path.read_bytes()
             loaded, scanned, _, _ = store.load(0)
