@@ -149,6 +149,21 @@ class TestForestMicro:
         )
         assert len(forest) == 10
 
+    def test_train_products_400x21(self, benchmark):
+        """The products matcher's shape: 21 features, m = 5 per split,
+        min_samples_leaf 2, one column with missing values."""
+        rng = np.random.default_rng(4)
+        x = rng.random((400, 21))
+        x[rng.random(400) < 0.3, 4] = np.nan
+        y = (x[:, 0] + x[:, 7]) > 1.0
+        config = ForestConfig(min_samples_leaf=2)
+        assert config.features_per_split(21) == 5
+        forest = benchmark.pedantic(
+            lambda: train_forest(x, y, config, np.random.default_rng(1)),
+            rounds=5, iterations=1,
+        )
+        assert len(forest) == 10
+
     def test_predict_20k(self, benchmark, training_data):
         x, y, probe = training_data
         forest = train_forest(x, y, ForestConfig(),

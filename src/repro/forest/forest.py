@@ -17,7 +17,7 @@ from ..config import ForestConfig
 from ..exceptions import DataError
 from ..obs import hooks
 from ..obs.profiling import profile_section
-from .tree import DecisionTree, TreePath
+from .tree import DecisionTree, TreePath, _gini
 
 
 class RandomForest:
@@ -106,10 +106,10 @@ class RandomForest:
                     continue
                 left = tree.nodes[node.left]
                 right = tree.nodes[node.right]
-                parent_imp = _node_gini(node)
+                parent_imp = _gini(node.n_positive, node.n_total)
                 child_imp = (
-                    left.n_total * _node_gini(left)
-                    + right.n_total * _node_gini(right)
+                    left.n_total * _gini(left.n_positive, left.n_total)
+                    + right.n_total * _gini(right.n_positive, right.n_total)
                 ) / node.n_total
                 decrease = parent_imp - child_imp
                 totals[node.feature] += decrease * node.n_total / root_total
@@ -117,13 +117,6 @@ class RandomForest:
         if total <= 0:
             return np.zeros(self.n_features_)
         return totals / total
-
-
-def _node_gini(node) -> float:
-    if node.n_total == 0:
-        return 0.0
-    p = node.n_positive / node.n_total
-    return 2.0 * p * (1.0 - p)
 
 
 def train_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig,

@@ -64,6 +64,28 @@ class TreePath(NamedTuple):
     n_positive: int
 
 
+class _Presorted(NamedTuple):
+    """One fit's training data, each column sorted once.
+
+    ``order[f]`` lists the row ids in stable ascending order of column
+    ``f`` (NaNs last) and ``values[f]`` the values in that order, so a
+    node's sorted block of any feature is a filter, not a sort.  Built
+    per ``fit`` call and never stored on the tree.
+    """
+
+    x: np.ndarray
+    labels: np.ndarray
+    order: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray, y: np.ndarray) -> "_Presorted":
+        order = np.argsort(x, axis=0, kind="stable")
+        values = np.take_along_axis(x, order, axis=0)
+        return cls(x, y.astype(np.float64), np.ascontiguousarray(order.T),
+                   np.ascontiguousarray(values.T))
+
+
 class DecisionTree:
     """Binary CART classifier over float feature matrices.
 
@@ -106,16 +128,16 @@ class DecisionTree:
             rng = np.random.default_rng(0)
         self.n_features_ = x.shape[1]
         self.nodes = []
-        self._grow(x, y, np.arange(x.shape[0]), depth=0, rng=rng)
+        self._grow(_Presorted.of(x, y), np.arange(x.shape[0]), depth=0,
+                   rng=rng)
         return self
 
-    def _grow(self, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
-              depth: int, rng: np.random.Generator) -> int:
+    def _grow(self, data: "_Presorted", rows: np.ndarray, depth: int,
+              rng: np.random.Generator) -> int:
         """Recursively grow a subtree; returns the new node's index."""
         node_id = len(self.nodes)
-        labels = y[rows]
         n_total = int(rows.size)
-        n_positive = int(labels.sum())
+        n_positive = int(data.labels[rows].sum())
         node = Node(n_total=n_total, n_positive=n_positive,
                     label=n_positive * 2 >= n_total)
         self.nodes.append(node)
@@ -125,12 +147,12 @@ class DecisionTree:
                 or n_total < self.min_samples_split):
             return node_id
 
-        split = self._best_split(x, y, rows, rng)
+        split = self._best_split(data, rows, rng)
         if split is None:
             return node_id
         feature, threshold = split
 
-        values = x[rows, feature]
+        values = data.x[rows, feature]
         nan_mask = np.isnan(values)
         left_mask = values <= threshold  # NaN compares False
         # Route NaNs with the majority of non-NaN examples.
@@ -147,15 +169,22 @@ class DecisionTree:
         node.feature = feature
         node.threshold = threshold
         node.nan_left = nan_left
-        node.left = self._grow(x, y, left_rows, depth + 1, rng)
-        node.right = self._grow(x, y, right_rows, depth + 1, rng)
+        node.left = self._grow(data, left_rows, depth + 1, rng)
+        node.right = self._grow(data, right_rows, depth + 1, rng)
         return node_id
 
-    def _best_split(self, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
+    def _best_split(self, data: "_Presorted", rows: np.ndarray,
                     rng: np.random.Generator) -> tuple[int, float] | None:
         """Best (feature, threshold) by Gini gain over a random feature
-        subset, or None if no split improves impurity."""
-        n_features = x.shape[1]
+        subset, or None if no split improves impurity.
+
+        Every threshold of every candidate feature is scored in one
+        pass over the node's ``(m, k)`` block of presorted values: a
+        threshold is the midpoint between two distinct consecutive
+        non-NaN values, and the first maximum in (candidate, position)
+        order wins.
+        """
+        n_features = data.x.shape[1]
         if self.max_features is None or self.max_features >= n_features:
             candidates = np.arange(n_features)
         else:
@@ -163,46 +192,37 @@ class DecisionTree:
                 n_features, size=self.max_features, replace=False
             )
 
-        labels = y[rows].astype(np.float64)
-        best_gain = 1e-12
-        best: tuple[int, float] | None = None
-        parent_impurity = _gini(labels.sum(), labels.size)
-
-        for feature in candidates:
-            values = x[rows, feature]
-            valid = ~np.isnan(values)
-            if valid.sum() < 2:
-                continue
-            v = values[valid]
-            lv = labels[valid]
-            order = np.argsort(v, kind="stable")
-            v_sorted = v[order]
-            l_sorted = lv[order]
-            # Candidate thresholds: midpoints between distinct consecutive
-            # values.
-            distinct = np.nonzero(np.diff(v_sorted) > 0)[0]
-            if distinct.size == 0:
-                continue
-            pos_prefix = np.cumsum(l_sorted)
-            total_pos = pos_prefix[-1]
-            n = v_sorted.size
-            left_counts = distinct + 1
-            left_pos = pos_prefix[distinct]
-            right_counts = n - left_counts
-            right_pos = total_pos - left_pos
-            left_imp = _gini_vec(left_pos, left_counts)
-            right_imp = _gini_vec(right_pos, right_counts)
-            weighted = (left_counts * left_imp + right_counts * right_imp) / n
-            gains = parent_impurity - weighted
-            best_local = int(np.argmax(gains))
-            if gains[best_local] > best_gain:
-                best_gain = float(gains[best_local])
-                threshold = float(
-                    (v_sorted[distinct[best_local]]
-                     + v_sorted[distinct[best_local] + 1]) / 2.0
-                )
-                best = (int(feature), threshold)
-        return best
+        # Each candidate's presorted rows, restricted to this node's.
+        k = rows.size
+        member = np.zeros(data.x.shape[0], dtype=bool)
+        member[rows] = True
+        ids = data.order[candidates]
+        keep = member[ids]
+        ids = ids[keep].reshape(-1, k)
+        values = data.values[candidates][keep].reshape(-1, k)
+        pos_prefix = np.cumsum(data.labels[ids], axis=1)
+        # NaNs sort last and compare False, so no threshold touches them.
+        feature_at, split_at = np.nonzero(np.diff(values, axis=1) > 0)
+        if split_at.size == 0:
+            return None
+        n = (~np.isnan(values)).sum(axis=1)[feature_at]
+        left_counts = split_at + 1
+        left_pos = pos_prefix[feature_at, split_at]
+        right_counts = n - left_counts
+        right_pos = pos_prefix[feature_at, n - 1] - left_pos
+        # The per-feature loop's operation order (tests/oracle.py), so
+        # every gain, and with it the tree, is bit-identical.
+        left_p = left_pos / left_counts
+        right_p = right_pos / right_counts
+        weighted = (left_counts * (2.0 * left_p * (1.0 - left_p))
+                    + right_counts * (2.0 * right_p * (1.0 - right_p))) / n
+        gains = _gini(data.labels[rows].sum(), k) - weighted
+        best = int(np.argmax(gains))
+        if gains[best] <= 1e-12:
+            return None
+        f, j = feature_at[best], split_at[best]
+        threshold = float((values[f, j] + values[f, j + 1]) / 2.0)
+        return int(candidates[f]), threshold
 
     # ------------------------------------------------------------------
     # Prediction
@@ -281,13 +301,6 @@ def _gini(n_positive: float, n_total: float) -> float:
     if n_total == 0:
         return 0.0
     p = n_positive / n_total
-    return 2.0 * p * (1.0 - p)
-
-
-def _gini_vec(n_positive: np.ndarray, n_total: np.ndarray) -> np.ndarray:
-    """Vectorized Gini impurity; zero where ``n_total`` is zero."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(n_total > 0, n_positive / n_total, 0.0)
     return 2.0 * p * (1.0 - p)
 
 

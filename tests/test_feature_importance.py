@@ -48,3 +48,16 @@ class TestFeatureImportances:
         importances = forest.feature_importances()
         noise = np.delete(importances, 1)
         assert noise.max() < 0.15
+
+    def test_pinned_values(self):
+        """Exact importances of one seeded forest (a NaN-bearing column
+        included), as recorded before the split search was vectorized."""
+        rng = np.random.default_rng(2024)
+        x = rng.random((300, 6))
+        x[::7, 4] = np.nan
+        y = (x[:, 0] + np.nan_to_num(x[:, 4])) > 0.9
+        forest = train_forest(x, y, ForestConfig(), rng)
+        np.testing.assert_array_equal(forest.feature_importances(), [
+            0.42392964588272614, 0.04931587465670807, 0.03159619172164374,
+            0.03483643138834188, 0.43412146001044505, 0.026200396340135147,
+        ])

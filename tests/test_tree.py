@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import ForestConfig
 from repro.exceptions import DataError
+from repro.forest import forest as forest_module
+from repro.forest.forest import train_forest
 from repro.forest.tree import (
     DecisionTree,
     condition_satisfied,
     TreeCondition,
 )
+
+from .oracle import ScalarSplitTree
 
 
 def fit_tree(x, y, rng=None, **kwargs) -> DecisionTree:
@@ -160,3 +165,103 @@ def test_fit_predict_reaches_reasonable_accuracy(seed):
     y = x[:, 1] > 0.6
     tree = fit_tree(x, y, rng=rng)
     assert (tree.predict(x) == y).mean() >= 0.95
+
+
+# ----------------------------------------------------------------------
+# Parity with the per-feature scalar split search (tests/oracle.py)
+# ----------------------------------------------------------------------
+
+TIED = [0.0, 0.25, 0.5, 0.5, 1.0, -3.0, 1e9, np.nan]
+"""A small pool: draws from it repeat values and mix in NaNs."""
+
+
+def node_tuples(tree):
+    return [(n.feature, n.threshold, n.left, n.right, n.nan_left, n.label,
+             n.n_total, n.n_positive) for n in tree.nodes]
+
+
+@st.composite
+def training_sets(draw, min_rows=2, max_rows=40):
+    """Matrices with tied, free, constant, all-NaN and mostly-NaN
+    columns, plus labels."""
+    n_rows = draw(st.integers(min_rows, max_rows))
+
+    def column_of(elements):
+        return draw(st.lists(elements, min_size=n_rows, max_size=n_rows))
+
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(
+            ["tied", "free", "constant", "nan", "mostly_nan"]))
+        if kind == "tied":
+            column = column_of(st.sampled_from(TIED))
+        elif kind == "free":
+            column = column_of(st.floats(-1e6, 1e6) | st.just(np.nan))
+        elif kind == "constant":
+            column = [draw(st.sampled_from(TIED))] * n_rows
+        else:
+            column = [np.nan] * n_rows
+            if kind == "mostly_nan":
+                for index in draw(st.lists(st.integers(0, n_rows - 1),
+                                           min_size=1, max_size=2)):
+                    column[index] = draw(st.sampled_from(TIED[:-1]))
+        columns.append(column)
+    x = np.array(columns, dtype=np.float64).T
+    return x, np.array(column_of(st.booleans()))
+
+
+tree_params = st.fixed_dictionaries({
+    "max_features": st.sampled_from([None, 1, 2, 3]),
+    "min_samples_leaf": st.sampled_from([1, 2]),
+    "max_depth": st.sampled_from([1, 2, 3, 32]),
+})
+
+
+def assert_same_tree(x, y, params, seed):
+    fast_rng = np.random.default_rng(seed)
+    slow_rng = np.random.default_rng(seed)
+    fast = DecisionTree(**params).fit(x, y, rng=fast_rng)
+    slow = ScalarSplitTree(**params).fit(x, y, rng=slow_rng)
+    assert node_tuples(fast) == node_tuples(slow)
+    # Later trees of a forest draw from the same stream.
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+class TestScalarOracleParity:
+    @settings(max_examples=200, deadline=None)
+    @given(training_sets(), tree_params, st.integers(0, 2**32 - 1))
+    def test_matches_scalar_split_search(self, data, params, seed):
+        x, y = data
+        assert_same_tree(x, y, params, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(training_sets(min_rows=2, max_rows=3), tree_params,
+           st.integers(0, 2**32 - 1))
+    def test_matches_on_two_and_three_rows(self, data, params, seed):
+        x, y = data
+        assert_same_tree(x, y, params, seed)
+
+    def test_fitted_tree_keeps_no_scratch(self):
+        x = np.array([[0.1, 1.0], [0.2, np.nan], [0.8, 0.0], [0.9, 1.0]])
+        tree = fit_tree(x, [False, False, True, True])
+        assert set(vars(tree)) == {
+            "max_depth", "min_samples_split", "min_samples_leaf",
+            "max_features", "nodes", "n_features_",
+        }
+
+    def test_forest_at_products_shape(self, monkeypatch):
+        """400 x 21 with a NaN-bearing column, m = 5 features per split."""
+        rng = np.random.default_rng(17)
+        x = np.round(rng.random((400, 21)), 2)
+        x[rng.random(400) < 0.3, 4] = np.nan
+        y = (x[:, 0] + x[:, 7] > 1.1) ^ (rng.random(400) < 0.1)
+        config = ForestConfig(min_samples_leaf=2)
+        assert config.features_per_split(21) == 5
+        fast_rng = np.random.default_rng(5)
+        fast = train_forest(x, y, config, fast_rng)
+        monkeypatch.setattr(forest_module, "DecisionTree", ScalarSplitTree)
+        slow_rng = np.random.default_rng(5)
+        slow = train_forest(x, y, config, slow_rng)
+        assert [node_tuples(t) for t in fast.trees] == [
+            node_tuples(t) for t in slow.trees]
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
